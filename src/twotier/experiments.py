@@ -155,8 +155,8 @@ class ExperimentConfig:
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ValueError("t_grid must be non-empty")
-        if any(t < 0 for t in grid):
-            raise ValueError("t_grid values must be non-negative")
+        if not all(math.isfinite(t) and t >= 0 for t in grid):
+            raise ValueError(f"t_grid values must be finite and non-negative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be strictly increasing")
         object.__setattr__(self, "t_grid", grid)

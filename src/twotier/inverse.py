@@ -5,8 +5,8 @@ Two solvers are provided.  ``solve_exhaustive`` scans every integer weight
 vector up to a weight-sum bound (small player counts only) and certifies a
 global optimum over that grid.  ``solve_local_search`` runs seeded
 multi-restart hill climbing with exact index evaluations and works at any
-player count, but certifies nothing.  Both compare candidates with exact
-rational arithmetic so ties and optima are platform independent.
+player count, but certifies nothing.  Both compare candidates with an
+exact integer key so ties and optima are platform independent.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,15 +54,25 @@ def distance(values: Sequence, target: Sequence, norm: str = "l1") -> float:
     return max(diffs)
 
 
-def _distance_key(values: Sequence, target: Sequence[Fraction], norm: str) -> Fraction:
-    """Exact comparison key: the distance itself for l1/linf, the squared
-    distance for l2 (same ordering, avoids irrational square roots)."""
-    diffs = [abs(Fraction(v) - t) for v, t in zip(values, target)]
-    if norm == "l1":
-        return sum(diffs, Fraction(0))
-    if norm == "l2":
-        return sum((d * d for d in diffs), Fraction(0))
-    return max(diffs)
+def _distance_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[Fraction]], int]:
+    """Exact comparison key against ``target`` for index vectors of its
+    length: the distance itself for l1/linf, the squared distance for l2
+    (same ordering, avoids irrational square roots), each scaled by
+    L = lcm(m!, target denominators) so that it is an integer.  Every index
+    value is a multiple of 1/m!, so the scaling is exact and the order,
+    ties included, is that of the rational distance."""
+    scale = math.lcm(math.factorial(len(target)), *(t.denominator for t in target))
+    goal = [t.numerator * (scale // t.denominator) for t in target]
+
+    def key(values: Sequence[Fraction]) -> int:
+        diffs = [abs(v.numerator * (scale // v.denominator) - g) for v, g in zip(values, goal)]
+        if norm == "l1":
+            return sum(diffs)
+        if norm == "l2":
+            return sum(d * d for d in diffs)
+        return max(diffs)
+
+    return key
 
 
 def largest_remainder(shares: Sequence, total: int) -> list[int]:
@@ -201,9 +211,9 @@ def solve_exhaustive(spec: InverseProblemSpec, budget: int = 10_000_000) -> Inve
             f"grid of {grid_size} weight vectors exceeds budget {budget}; lower weight_sum_bound"
         )
 
-    sorted_target = sorted(spec.target, reverse=True)
+    distance_key = _distance_key(sorted(spec.target, reverse=True), spec.norm)
     seen: set = set()
-    best_key: Fraction | None = None
+    best_key: int | None = None
     best_vec: tuple[int, ...] | None = None
     scanned = 0
     for total in range(1, spec.weight_sum_bound + 1):
@@ -214,7 +224,7 @@ def solve_exhaustive(spec: InverseProblemSpec, budget: int = 10_000_000) -> Inve
             if signature in seen:
                 continue
             seen.add(signature)
-            key = _distance_key(shapley_shubik(game), sorted_target, spec.norm)
+            key = distance_key(shapley_shubik(game))
             if best_key is None or key < best_key:
                 best_key = key
                 best_vec = vec
@@ -271,19 +281,18 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
     is never worse than that initialization.
     """
     quota = spec.quota_ratio
-    cache: dict[tuple[int, ...], Fraction] = {}
+    distance_key = _distance_key(spec.target, spec.norm)
+    cache: dict[tuple[int, ...], int] = {}
 
-    def key_of(vec: tuple[int, ...]) -> Fraction:
+    def key_of(vec: tuple[int, ...]) -> int:
         cached = cache.get(vec)
         if cached is None:
-            cached = _distance_key(
-                shapley_shubik(WeightedVotingGame(vec, quota)), spec.target, spec.norm
-            )
+            cached = distance_key(shapley_shubik(WeightedVotingGame(vec, quota)))
             cache[vec] = cached
         return cached
 
     best_vec: tuple[int, ...] | None = None
-    best_key: Fraction | None = None
+    best_key: int | None = None
     total_steps = 0
     restarts_used = 0
     for start in _initial_points(spec):

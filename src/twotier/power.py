@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -28,18 +29,22 @@ __all__ = [
 DEFAULT_DP_BUDGET = 2_000_000
 
 
-def _pivot_counts_by_size(game: WeightedVotingGame) -> list[np.ndarray]:
-    """For each player i, count coalitions S (without i) that i turns winning,
-    grouped by |S|.
+def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
+    """Map each distinct weight w of the game to the counts, by |S|, of
+    coalitions S without one player of weight w that the player turns
+    winning.
 
-    A single knapsack DP over (coalition size, coalition weight) counts all
-    coalitions of the full player set up to the largest losing weight; the
-    per-player tables are then recovered by deconvolving that player's item,
-    which keeps the whole computation at O(m^2 * total_weight) array work.
-    Counts are exact: int64 while binomial coefficients fit, arbitrary
-    precision objects beyond that.
+    One knapsack pass over (coalition size, coalition weight) counts all
+    coalitions of the full player set up to the largest losing weight cap,
+    and a running sum over weight turns the counts into cumulative counts C.
+    Removing a player of weight w obeys the same recurrence, so the
+    cumulative counts without it are  Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]
+    over k <= min(m-1, x // w), and its pivots of size s are
+    Cw[s][cap] - Cw[s][low-1].  The table costs O(m^2 * cap) and each
+    distinct weight an O(m * min(m, cap/w)) gather (Uno 2012).  Counts are
+    exact: int64 while binomial coefficients fit, arbitrary precision
+    objects beyond that.
     """
-    weights = game.weights
     m = game.num_players
     total = game.total_weight
     q_num = game.quota_ratio.numerator
@@ -47,38 +52,39 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> list[np.ndarray]:
     cap = (q_num * total) // q_den  # largest losing coalition weight
 
     dtype = np.int64 if math.comb(m, m // 2) < 2**62 else object
-    table = np.zeros((m + 1, cap + 1), dtype=dtype)
+    ncols = cap + 1
+    # table[s][v] counts coalitions of size s and weight v; the m zero rows
+    # above it stand for negative sizes, so C[s-k] needs no bounds check
+    padded = np.zeros((2 * m + 1, ncols), dtype=dtype)
+    table = padded[m:]
     table[0, 0] = 1
-    for w in weights:
+    filled = 0  # rows 0..filled may hold non-zero counts
+    for w in game.weights:
         if w > cap:
             continue  # cannot appear in any coalition of weight <= cap
-        if w == 0:
-            for size in range(m, 0, -1):
-                table[size] += table[size - 1]
-        else:
-            for size in range(m, 0, -1):
-                table[size, w:] += table[size - 1, : cap + 1 - w]
+        filled += 1
+        # numpy buffers the overlapping operand, so this reads the old rows
+        table[1 : filled + 1, w:] += table[0:filled, : cap + 1 - w]
+    np.cumsum(table, axis=1, out=table)  # table[s][x] is now C[s][x]
 
-    results = []
-    for w in weights:
-        # without[s][v] = coalitions of the other players, size s, weight v
-        without = np.zeros((m, cap + 1), dtype=dtype)
-        without[0] = table[0]
-        for size in range(1, m):
-            if w == 0:
-                without[size] = table[size] - without[size - 1]
-            elif w > cap:
-                without[size] = table[size]
-            else:
-                without[size, :w] = table[size, :w]
-                without[size, w:] = table[size, w:] - without[size - 1, : cap + 1 - w]
-        # pivot: S loses (weight <= cap) but S + {i} wins
-        low = (q_num * total - w * q_den) // q_den + 1
-        if low > cap:
-            results.append(np.zeros(m, dtype=dtype))
-        else:
-            results.append(without[:, max(low, 0) :].sum(axis=1))
-    return results
+    flat = padded.ravel()
+    starts = ((m + np.arange(m)) * ncols)[:, None]  # flat index of C[s][0]
+    alt = (-1) ** np.arange(m)
+    counts = {}
+    for w in set(game.weights):
+        if w == 0:
+            counts[w] = np.zeros(m, dtype=dtype)  # a null player turns no coalition winning
+            continue
+        low = (q_num * total - w * q_den) // q_den + 1  # lightest S that i turns winning
+        k_hi = min(m, cap // w + 1)
+        k_lo = min(m, (low - 1) // w + 1) if low > 0 else 0
+        k = np.arange(max(k_hi, k_lo))
+        step = ncols + w  # flat distance from C[s-k][x-k*w] to C[s-k-1][x-(k+1)*w]
+        offsets = np.concatenate((cap - step * k[:k_hi], low - 1 - step * k[:k_lo]))
+        signs = np.concatenate((alt[:k_hi], -alt[:k_lo]))
+        # int64 sums may wrap midway; exact because every final count fits
+        counts[w] = flat[starts + offsets] @ signs
+    return counts
 
 
 def _check_budget(game: WeightedVotingGame, budget: int) -> None:
@@ -100,12 +106,13 @@ def shapley_shubik(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET)
     _check_budget(game, budget)
     m = game.num_players
     fact = [math.factorial(k) for k in range(m)]
+    coeff = [fact[s] * fact[m - 1 - s] for s in range(m)]
     m_fact = math.factorial(m)
-    values = []
-    for pivots in _pivot_counts_by_size(game):
-        numerator = sum(int(pivots[s]) * fact[s] * fact[m - 1 - s] for s in range(m))
-        values.append(Fraction(numerator, m_fact))
-    return tuple(values)
+    values = {
+        w: Fraction(sum(map(mul, pivots.tolist(), coeff)), m_fact)
+        for w, pivots in _pivot_counts_by_size(game).items()
+    }
+    return tuple(values[w] for w in game.weights)
 
 
 def shapley_permutation_oracle(game: WeightedVotingGame) -> tuple[Fraction, ...]:
@@ -138,9 +145,12 @@ def banzhaf(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET) -> tup
     _check_budget(game, budget)
     m = game.num_players
     denominator = 2 ** (m - 1)
-    return tuple(
-        Fraction(int(pivots.sum()), denominator) for pivots in _pivot_counts_by_size(game)
-    )
+    # summed as Python ints: a player's swings reach 2^(m-1), past int64 at m = 65
+    values = {
+        w: Fraction(sum(pivots.tolist()), denominator)
+        for w, pivots in _pivot_counts_by_size(game).items()
+    }
+    return tuple(values[w] for w in game.weights)
 
 
 def penrose_decisiveness(population: int) -> tuple[Fraction, float]:

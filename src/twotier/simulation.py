@@ -67,6 +67,8 @@ class Distribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", (float(self.params[0]), float(self.params[1])))
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(f"distribution parameters must be finite, got {self.params}")
         if self.name == "uniform":
             low, high = self.params
             if not high > low:
@@ -170,8 +172,8 @@ class PreferenceModel:
     constituency: Distribution = field(default=Distribution.normal(0.0, 1e-4))
 
     def __post_init__(self) -> None:
-        if self.cohesion < 0:
-            raise ValueError("cohesion must be non-negative")
+        if not (math.isfinite(self.cohesion) and self.cohesion >= 0):
+            raise ValueError(f"cohesion must be finite and non-negative, got {self.cohesion}")
 
 
 def sample_median_shock(population: int, dist: Distribution, rng: np.random.Generator, size=None):

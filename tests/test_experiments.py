@@ -1,5 +1,6 @@
 """Federation files, weight rules, experiment sweeps, and the CLI surface."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,11 @@ class TestExperimentConfig:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             ExperimentConfig("f.csv", HALF, (1.0, 1.0), 10, 0)
+
+    @pytest.mark.parametrize("grid", [(math.nan,), (1.0, math.nan), (0.0, math.inf)])
+    def test_grid_must_be_finite(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig("f.csv", HALF, grid, 10, 0)
 
     def test_grid_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -1,10 +1,14 @@
 """Inverse power-index solvers: distances, certified optima, hill climbing."""
 
 import itertools
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotier import (
     FederationSpec,
@@ -14,14 +18,17 @@ from twotier import (
     WeightedVotingGame,
     distance,
     largest_remainder,
+    load_federation,
     shapley_permutation_oracle,
     shapley_shubik,
     solve_exhaustive,
     solve_local_search,
 )
+from twotier.inverse import _distance_key
 
 HALF = Fraction(1, 2)
 F = Fraction
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestDistance:
@@ -45,6 +52,40 @@ class TestDistance:
     def test_unknown_norm(self):
         with pytest.raises(ValueError):
             distance((1,), (1,), "l3")
+
+
+def fraction_key(values, target, norm):
+    """Reference key in plain rational arithmetic."""
+    diffs = [abs(v - t) for v, t in zip(values, target)]
+    if norm == "l1":
+        return sum(diffs, Fraction(0))
+    if norm == "l2":
+        return sum((d * d for d in diffs), Fraction(0))
+    return max(diffs)
+
+
+@st.composite
+def key_cases(draw):
+    """A target and two index-like vectors (multiples of 1/m!); the second
+    is often a permutation of the first, so ties occur."""
+    m = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m).filter(any))
+    target = tuple(Fraction(t, sum(raw)) for t in raw)
+    unit = math.factorial(m)
+    first = draw(st.lists(st.integers(0, unit), min_size=m, max_size=m))
+    second = draw(st.permutations(first) | st.lists(st.integers(0, unit), min_size=m, max_size=m))
+    return target, [Fraction(v, unit) for v in first], [Fraction(v, unit) for v in second]
+
+
+class TestDistanceKey:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(key_cases(), st.sampled_from(["l1", "l2", "linf"]))
+    def test_orders_as_rational_distance(self, case, norm):
+        target, first, second = case
+        key = _distance_key(target, norm)
+        exact = fraction_key(first, target, norm) - fraction_key(second, target, norm)
+        scaled = key(first) - key(second)
+        assert (scaled > 0, scaled == 0) == (exact > 0, exact == 0)
 
 
 class TestProblemSpec:
@@ -240,6 +281,38 @@ class TestSolveLocalSearch:
         proportional = WeightedVotingGame(tuple(largest_remainder(target, 120)), quota)
         proportional_distance = distance(shapley_shubik(proportional), target, "l1")
         assert solution.distance < proportional_distance
+
+    @pytest.mark.parametrize(
+        "quota, weights, steps, l1",
+        [
+            (
+                F(37, 50),
+                (74, 63, 62, 58, 46, 39, 22, 19, 12, 12, 12, 11, 11, 11,
+                 10, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 0),
+                34,
+                0.013066041211063171,
+            ),
+            (
+                HALF,
+                (77, 65, 64, 60, 47, 40, 21, 18, 12, 12, 11, 11, 11, 11,
+                 9, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 1),
+                22,
+                0.01238390571319555,
+            ),
+        ],
+        ids=["q37_50", "q1_2"],
+    )
+    def test_eu28_search_path_pinned(self, quota, weights, steps, l1):
+        # one restart runs only from the proportional start: the steepest
+        # +-1 descent must take the same path to the same vector
+        fed = load_federation(DATA / "eu28.csv")
+        spec = InverseProblemSpec(
+            target=fed.shares(), quota_ratio=quota, weight_sum_bound=500, restarts=1, max_steps=400
+        )
+        solution = solve_local_search(spec)
+        assert solution.game.weights == weights
+        assert solution.steps == steps
+        assert solution.distance == l1
 
 
 class TestInverseSolution:

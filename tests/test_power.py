@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotier import (
     ResourceLimitError,
@@ -19,6 +21,40 @@ from tests.test_games import random_game
 
 HALF = Fraction(1, 2)
 F = Fraction
+
+# fixed example sequence, so a run of the suite is reproducible
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def games(draw, max_players=8):
+    """Games with zero weights, weights above the largest losing weight, and
+    quotas from 1/2 to 99/100 or exactly at the weight of some coalition."""
+    m = draw(st.integers(1, max_players))
+    weight = st.integers(0, 6) | st.integers(0, 60)
+    weights = draw(st.lists(weight, min_size=m, max_size=m).filter(any))
+    total = sum(weights)
+    members = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    at_quota = Fraction(sum(w for w, x in zip(weights, members) if x), total)
+    if draw(st.booleans()) and HALF <= at_quota < 1:
+        quota = at_quota  # that coalition sits exactly at q * T and loses
+    else:
+        quota = Fraction(draw(st.integers(50, 99)), 100)
+    return WeightedVotingGame(tuple(weights), quota)
+
+
+def brute_force_banzhaf(game):
+    m = game.num_players
+    expected = []
+    for i in range(m):
+        swings = 0
+        others = [j for j in range(m) if j != i]
+        for mask in range(1 << (m - 1)):
+            members = [others[k] for k in range(m - 1) if (mask >> k) & 1]
+            if not game.is_winning(members) and game.is_winning(members + [i]):
+                swings += 1
+        expected.append(F(swings, 2 ** (m - 1)))
+    return tuple(expected)
 
 
 class TestShapleyShubik:
@@ -105,6 +141,19 @@ class TestPermutationOracle:
             game = random_game(rng)
             assert shapley_shubik(game) == shapley_permutation_oracle(game)
 
+    @PROPERTY
+    @given(games())
+    def test_equals_dp_property(self, game):
+        assert shapley_shubik(game) == shapley_permutation_oracle(game)
+
+    @pytest.mark.parametrize("m", [60, 62, 64, 66, 68, 70])
+    @pytest.mark.parametrize("quota", [HALF, F(2, 3), F(99, 100)])
+    def test_unit_weights_across_dtype_switch(self, m, quota):
+        # C(m, m // 2) passes 2^62 between m = 64 and m = 66, where the DP
+        # switches from int64 to Python integers
+        assert math.comb(64, 32) < 2**62 <= math.comb(66, 33)
+        assert shapley_shubik(WeightedVotingGame((1,) * m, quota)) == (F(1, m),) * m
+
 
 class TestBanzhaf:
     def test_three_symmetric(self):
@@ -122,17 +171,18 @@ class TestBanzhaf:
         rng = np.random.default_rng(16)
         for _ in range(20):
             game = random_game(rng, max_players=5)
-            m = game.num_players
-            expected = []
-            for i in range(m):
-                swings = 0
-                others = [j for j in range(m) if j != i]
-                for mask in range(1 << (m - 1)):
-                    members = [others[k] for k in range(m - 1) if (mask >> k) & 1]
-                    if not game.is_winning(members) and game.is_winning(members + [i]):
-                        swings += 1
-                expected.append(F(swings, 2 ** (m - 1)))
-            assert banzhaf(game) == tuple(expected)
+            assert banzhaf(game) == brute_force_banzhaf(game)
+
+    @PROPERTY
+    @given(games())
+    def test_brute_force_swings_property(self, game):
+        assert banzhaf(game) == brute_force_banzhaf(game)
+
+    def test_swings_past_int64(self):
+        # the heavy player turns each of the 2^64 coalitions of the others
+        # winning, a count past the int64 range
+        game = WeightedVotingGame((70,) + (1,) * 64, HALF)
+        assert banzhaf(game)[0] == 1
 
 
 class TestPenrose:

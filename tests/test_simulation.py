@@ -59,6 +59,20 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution.normal(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("normal", (math.nan, 1.0)),
+            ("normal", (-math.inf, 1.0)),
+            ("normal", (0.0, math.inf)),
+            ("uniform", (-math.inf, 0.0)),
+            ("uniform", (0.0, math.inf)),
+        ],
+    )
+    def test_rejects_non_finite_params(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(*params)
+
     def test_sample_matches_ppf_distribution(self):
         rng = np.random.default_rng(31)
         draws = NORMAL.sample(rng, 50_000)
@@ -121,6 +135,11 @@ class TestFederationAndModel:
     def test_model_rejects_negative_cohesion(self):
         with pytest.raises(ValueError):
             PreferenceModel(cohesion=-1.0)
+
+    @pytest.mark.parametrize("cohesion", [math.nan, math.inf])
+    def test_model_rejects_non_finite_cohesion(self, cohesion):
+        with pytest.raises(ValueError, match="finite"):
+            PreferenceModel(cohesion=cohesion)
 
     def test_defaults(self):
         model = PreferenceModel()
