@@ -28,6 +28,7 @@ from .inverse import (
     InverseSolution,
     distance,
     largest_remainder,
+    solve,
     solve_exhaustive,
     solve_local_search,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "InverseSolution",
     "distance",
     "largest_remainder",
+    "solve",
     "solve_exhaustive",
     "solve_local_search",
     "Distribution",

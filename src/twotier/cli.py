@@ -22,7 +22,7 @@ from .experiments import (
     run_experiment,
 )
 from .games import ResourceLimitError, WeightedVotingGame, enumerate_game_classes
-from .inverse import InverseProblemSpec, solve_exhaustive, solve_local_search
+from .inverse import SOLVER_METHODS, InverseProblemSpec, solve
 from .power import banzhaf, shapley_permutation_oracle, shapley_shubik
 from .simulation import PreferenceModel, estimate_pivot_probabilities, fairness_deviation
 
@@ -62,12 +62,10 @@ def _cmd_inverse(args) -> int:
         max_steps=args.max_steps,
         seed=args.seed,
     )
-    method = args.method
-    if method == "auto":
-        method = "exhaustive" if spec.num_players <= 6 else "local"
-    solution = solve_exhaustive(spec) if method == "exhaustive" else solve_local_search(spec)
+    solution = solve(spec, args.method)
     print(f"game: {solution.game.to_text()}")
     print(f"method: {solution.method}  certified: {solution.optimality_certified}")
+    print(f"steps: {solution.steps}  evaluations: {solution.evaluations}")
     print(f"distance ({spec.norm}): {solution.distance:.6f}")
     print(f"{'player':>6} {'target':>10} {'achieved':>10}  {'exact':>10}")
     for i, (t, s) in enumerate(zip(spec.target, solution.ssi)):
@@ -136,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--quota", default="1/2", help="relative quota as an exact fraction (default 1/2)")
     p_inv.add_argument("--norm", default="l1", choices=("l1", "l2", "linf"))
     p_inv.add_argument("--bound", type=int, default=100, help="weight sum bound (default 100)")
-    p_inv.add_argument("--method", default="auto", choices=("auto", "exhaustive", "local"))
+    p_inv.add_argument("--method", default="auto", choices=SOLVER_METHODS)
     p_inv.add_argument("--restarts", type=int, default=25)
     p_inv.add_argument("--max-steps", type=int, default=500)
     p_inv.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import WeightedVotingGame, exact_quota
-from .inverse import InverseProblemSpec, largest_remainder, solve_exhaustive, solve_local_search
+from .inverse import SOLVER_METHODS, InverseProblemSpec, largest_remainder, solve, solve_local_search
 from .power import shapley_shubik
 from .simulation import (
     FederationSpec,
@@ -93,7 +93,7 @@ class InverseSolverOptions:
     method: str = "auto"  # auto | exhaustive | local
 
     def __post_init__(self) -> None:
-        if self.method not in ("auto", "exhaustive", "local"):
+        if self.method not in SOLVER_METHODS:
             raise ValueError(f"unknown solver method {self.method!r}")
 
 
@@ -128,11 +128,7 @@ def build_weights(
             max_steps=solver.max_steps,
             seed=solver.seed,
         )
-        method = solver.method
-        if method == "auto":
-            method = "exhaustive" if fed.num_constituencies <= 6 else "local"
-        solution = solve_exhaustive(spec) if method == "exhaustive" else solve_local_search(spec)
-        return solution.game
+        return solve(spec, solver.method, local_search=solve_local_search).game
     raise ValueError(f"unknown weight rule {rule!r}; supported: {WEIGHT_RULES}")
 
 

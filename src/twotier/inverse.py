@@ -6,7 +6,8 @@ vector up to a weight-sum bound (small player counts only) and certifies a
 global optimum over that grid.  ``solve_local_search`` runs seeded
 multi-restart hill climbing with exact index evaluations and works at any
 player count, but certifies nothing.  Both compare candidates with an
-exact integer key so ties and optima are platform independent.
+exact integer key so ties and optima are platform independent.  ``solve``
+picks one by name.
 """
 
 from __future__ import annotations
@@ -15,23 +16,37 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from numbers import Integral
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .games import ResourceLimitError, WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
-from .power import shapley_shubik
+from .power import (
+    _add_player,
+    _check_budget,
+    _cumulative_table,
+    _gather_pivots,
+    _pivot_counts_by_size,
+    _pivot_orderings,
+    _remove_player,
+    shapley_shubik,
+)
 
 __all__ = [
+    "SOLVER_METHODS",
     "InverseProblemSpec",
     "InverseSolution",
     "distance",
     "largest_remainder",
+    "solve",
     "solve_exhaustive",
     "solve_local_search",
 ]
 
 _NORMS = ("l1", "l2", "linf")
+SOLVER_METHODS = ("auto", "exhaustive", "local")
 
 
 def _norm_name(norm: str) -> str:
@@ -54,18 +69,20 @@ def distance(values: Sequence, target: Sequence, norm: str = "l1") -> float:
     return max(diffs)
 
 
-def _distance_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[Fraction]], int]:
-    """Exact comparison key against ``target`` for index vectors of its
-    length: the distance itself for l1/linf, the squared distance for l2
-    (same ordering, avoids irrational square roots), each scaled by
-    L = lcm(m!, target denominators) so that it is an integer.  Every index
-    value is a multiple of 1/m!, so the scaling is exact and the order,
-    ties included, is that of the rational distance."""
-    scale = math.lcm(math.factorial(len(target)), *(t.denominator for t in target))
+def _numerator_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[int]], int]:
+    """Exact comparison key against ``target`` for index numerators (index
+    values times m!, m the length of ``target``): the distance itself for
+    l1/linf, the squared distance for l2 (same ordering, avoids irrational
+    square roots), each scaled by L = lcm(m!, target denominators) so that
+    it is an integer.  The scaling is exact, so the order, ties included, is
+    that of the rational distance."""
+    m_fact = math.factorial(len(target))
+    scale = math.lcm(m_fact, *(t.denominator for t in target))
+    unit = scale // m_fact
     goal = [t.numerator * (scale // t.denominator) for t in target]
 
-    def key(values: Sequence[Fraction]) -> int:
-        diffs = [abs(v.numerator * (scale // v.denominator) - g) for v, g in zip(values, goal)]
+    def key(numerators: Sequence[int]) -> int:
+        diffs = [abs(n * unit - g) for n, g in zip(numerators, goal)]
         if norm == "l1":
             return sum(diffs)
         if norm == "l2":
@@ -73,6 +90,14 @@ def _distance_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[F
         return max(diffs)
 
     return key
+
+
+def _distance_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[Fraction]], int]:
+    """``_numerator_key`` for index vectors: every index value is a
+    multiple of 1/m!."""
+    numerator_key = _numerator_key(target, norm)
+    m_fact = math.factorial(len(target))
+    return lambda values: numerator_key([v.numerator * (m_fact // v.denominator) for v in values])
 
 
 def largest_remainder(shares: Sequence, total: int) -> list[int]:
@@ -104,6 +129,10 @@ class InverseProblemSpec:
 
     ``target`` may be given as floats summing to 1 within 1e-9; it is stored
     exactly renormalized so that the components sum to exactly 1.
+
+    ``weight_sum_bound`` is a real bound for exhaustive search.  Local
+    search uses it only as the weight sum of its starts: its +-1 steps can
+    leave it (eu28 at bound 500 ends at sums 508 and 516).
     """
 
     target: tuple[Fraction, ...]
@@ -126,10 +155,17 @@ class InverseProblemSpec:
         object.__setattr__(self, "target", tuple(t / pool for t in raw))
         object.__setattr__(self, "quota_ratio", exact_quota(self.quota_ratio))
         object.__setattr__(self, "norm", _norm_name(self.norm))
+        for name in ("weight_sum_bound", "restarts", "max_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.weight_sum_bound < 1:
             raise ValueError("weight_sum_bound must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -144,6 +180,9 @@ class InverseSolution:
 
     The distance is recomputed from (ssi, target) at construction; a
     solution claiming certified optimality must come from exhaustive search.
+    ``evaluations`` counts the exact index evaluations the search made:
+    one per canonical class for exhaustive search, one per distinct weight
+    vector scored (starts included) for local search.
     """
 
     problem: InverseProblemSpec
@@ -154,6 +193,7 @@ class InverseSolution:
     steps: int
     restarts_used: int
     optimality_certified: bool
+    evaluations: int = 0
 
     def __post_init__(self) -> None:
         recomputed = distance(self.ssi, self.problem.target, self.problem.norm)
@@ -241,6 +281,7 @@ def solve_exhaustive(spec: InverseProblemSpec, budget: int = 10_000_000) -> Inve
         steps=scanned,
         restarts_used=0,
         optimality_certified=True,
+        evaluations=len(seen),
     )
 
 
@@ -271,6 +312,70 @@ def _initial_points(spec: InverseProblemSpec) -> Iterable[tuple[int, ...]]:
         yield _align_to_target(rounded, spec.target)
 
 
+class _NeighbourKeys:
+    """Exact distance keys of weight vectors for one inverse problem,
+    cached by vector, each equal to
+    ``_distance_key(target, norm)(shapley_shubik(game))``.
+
+    A descent step builds the cumulative (size, weight) table of the
+    current vector once, wide enough for the largest losing weight of its
+    +1 neighbours.  Each player's weight is removed from a copy of it once;
+    each of the player's two neighbours adds its changed weight back to a
+    copy of that (O(m * cap) per edit instead of O(m^2 * cap) for a fresh
+    table) and gathers its pivots at its own cap.  The key comes from the
+    integer numerators, with no Fraction built.  Only keys are cached, no
+    tables.
+    """
+
+    def __init__(self, spec: InverseProblemSpec):
+        self.quota = spec.quota_ratio
+        self.numerator_key = _numerator_key(spec.target, spec.norm)
+        self.orderings = _pivot_orderings(spec.num_players)
+        self.cache: dict[tuple[int, ...], int] = {}
+
+    def _score(self, vec: tuple[int, ...], pivots: dict[int, np.ndarray]) -> int:
+        numerators = {w: sum(map(mul, p.tolist(), self.orderings)) for w, p in pivots.items()}
+        key = self.cache[vec] = self.numerator_key([numerators[w] for w in vec])
+        return key
+
+    def of(self, vec: tuple[int, ...]) -> int:
+        """Key of one vector, such as the start of a descent."""
+        key = self.cache.get(vec)
+        if key is None:
+            game = WeightedVotingGame(vec, self.quota)
+            _check_budget(game.num_players, game.total_weight)
+            key = self._score(vec, _pivot_counts_by_size(game))
+        return key
+
+    def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Each +-1 neighbour of ``current`` (weights non-negative, not all
+        zero) with its key, player by player, +1 before -1."""
+        total = sum(current)
+        table = None
+        for i, w in enumerate(current):
+            without = None
+            for delta in (1, -1):
+                value = w + delta
+                if value < 0:
+                    continue
+                neighbour = current[:i] + (value,) + current[i + 1 :]
+                if not any(neighbour):
+                    continue
+                key = self.cache.get(neighbour)
+                if key is None:
+                    _check_budget(len(neighbour), total + delta)
+                    if without is None:
+                        if table is None:
+                            cap_up = (self.quota.numerator * (total + 1)) // self.quota.denominator
+                            table = _cumulative_table(current, cap_up + 1)
+                        without = table.copy()
+                        _remove_player(without, w)
+                    edited = without.copy()
+                    _add_player(edited, value)
+                    key = self._score(neighbour, _gather_pivots(edited, neighbour, self.quota, total + delta))
+                yield neighbour, key
+
+
 def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
     """Multi-restart hill climbing over integer weight vectors.
 
@@ -278,19 +383,11 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
     not all zero); each step moves to the best strictly improving neighbor,
     evaluated with the exact index.  Deterministic for a fixed seed.  The
     first start is the proportional rounding of the target, so the result
-    is never worse than that initialization.
+    is never worse than that initialization.  ``weight_sum_bound`` sets
+    only the weight sum of the starts: steps change the sum by one and may
+    end above the bound (eu28 at bound 500 ends at 508 and 516).
     """
-    quota = spec.quota_ratio
-    distance_key = _distance_key(spec.target, spec.norm)
-    cache: dict[tuple[int, ...], int] = {}
-
-    def key_of(vec: tuple[int, ...]) -> int:
-        cached = cache.get(vec)
-        if cached is None:
-            cached = distance_key(shapley_shubik(WeightedVotingGame(vec, quota)))
-            cache[vec] = cached
-        return cached
-
+    keys = _NeighbourKeys(spec)
     best_vec: tuple[int, ...] | None = None
     best_key: int | None = None
     total_steps = 0
@@ -298,22 +395,14 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
     for start in _initial_points(spec):
         restarts_used += 1
         current = start
-        current_key = key_of(current)
+        current_key = keys.of(current)
         for _ in range(spec.max_steps):
             candidate = None
             candidate_key = current_key
-            for i in range(len(current)):
-                for delta in (1, -1):
-                    value = current[i] + delta
-                    if value < 0:
-                        continue
-                    neighbor = current[:i] + (value,) + current[i + 1 :]
-                    if not any(neighbor):
-                        continue
-                    neighbor_key = key_of(neighbor)
-                    if neighbor_key < candidate_key:
-                        candidate = neighbor
-                        candidate_key = neighbor_key
+            for neighbour, neighbour_key in keys.neighbours(current):
+                if neighbour_key < candidate_key:
+                    candidate = neighbour
+                    candidate_key = neighbour_key
             if candidate is None:
                 break
             current, current_key = candidate, candidate_key
@@ -322,7 +411,7 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
             best_key = current_key
             best_vec = current
 
-    final_game = WeightedVotingGame(best_vec, quota)
+    final_game = WeightedVotingGame(best_vec, spec.quota_ratio)
     ssi = shapley_shubik(final_game)
     return InverseSolution(
         problem=spec,
@@ -333,4 +422,28 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
         steps=total_steps,
         restarts_used=restarts_used,
         optimality_certified=False,
+        evaluations=len(keys.cache),
     )
+
+
+def solve(
+    spec: InverseProblemSpec,
+    method: str = "auto",
+    *,
+    local_search: Callable[[InverseProblemSpec], InverseSolution] | None = None,
+) -> InverseSolution:
+    """Solve the inverse problem with ``method``: "exhaustive", "local", or
+    "auto", which takes exhaustive search (certified) up to 6 players and
+    local search beyond.
+
+    ``local_search`` stands in for ``solve_local_search``: a caller passes
+    its own module's binding so that a wrapper installed on that binding
+    (bench/spans.py traces ``experiments.solve_local_search``) sees the call.
+    """
+    if method not in SOLVER_METHODS:
+        raise ValueError(f"unknown solver method {method!r}; supported: {SOLVER_METHODS}")
+    if method == "auto":
+        method = "exhaustive" if spec.num_players <= 6 else "local"
+    if method == "exhaustive":
+        return solve_exhaustive(spec)
+    return (local_search or solve_local_search)(spec)

@@ -12,6 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -29,51 +30,78 @@ __all__ = [
 DEFAULT_DP_BUDGET = 2_000_000
 
 
-def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
-    """Map each distinct weight w of the game to the counts, by |S|, of
-    coalitions S without one player of weight w that the player turns
-    winning.
+def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
+    """Cumulative counts C[s][x] of coalitions of size s and weight <= x
+    for x < width, below m zero rows that stand for negative sizes (so
+    C[s-k] needs no bounds check): an array of shape (2m + 1, width).
 
-    One knapsack pass over (coalition size, coalition weight) counts all
-    coalitions of the full player set up to the largest losing weight cap,
-    and a running sum over weight turns the counts into cumulative counts C.
-    Removing a player of weight w obeys the same recurrence, so the
-    cumulative counts without it are  Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]
-    over k <= min(m-1, x // w), and its pivots of size s are
-    Cw[s][cap] - Cw[s][low-1].  The table costs O(m^2 * cap) and each
-    distinct weight an O(m * min(m, cap/w)) gather (Uno 2012).  Counts are
-    exact: int64 while binomial coefficients fit, arbitrary precision
-    objects beyond that.
+    One knapsack pass over (coalition size, coalition weight) counts the
+    coalitions in O(m^2 * width), and a running sum over weight makes the
+    counts cumulative.  A player of weight >= width is in no coalition
+    counted and is skipped, here and by ``_add_player``/``_remove_player``.
+    Counts are exact: int64 while binomial coefficients fit, arbitrary
+    precision objects beyond that.
     """
-    m = game.num_players
-    total = game.total_weight
-    q_num = game.quota_ratio.numerator
-    q_den = game.quota_ratio.denominator
-    cap = (q_num * total) // q_den  # largest losing coalition weight
-
+    m = len(weights)
     dtype = np.int64 if math.comb(m, m // 2) < 2**62 else object
-    ncols = cap + 1
-    # table[s][v] counts coalitions of size s and weight v; the m zero rows
-    # above it stand for negative sizes, so C[s-k] needs no bounds check
-    padded = np.zeros((2 * m + 1, ncols), dtype=dtype)
+    padded = np.zeros((2 * m + 1, width), dtype=dtype)
     table = padded[m:]
     table[0, 0] = 1
     filled = 0  # rows 0..filled may hold non-zero counts
-    for w in game.weights:
-        if w > cap:
-            continue  # cannot appear in any coalition of weight <= cap
+    for w in weights:
+        if w >= width:
+            continue
         filled += 1
         # numpy buffers the overlapping operand, so this reads the old rows
-        table[1 : filled + 1, w:] += table[0:filled, : cap + 1 - w]
-    np.cumsum(table, axis=1, out=table)  # table[s][x] is now C[s][x]
+        table[1 : filled + 1, w:] += table[0:filled, : width - w]
+    np.cumsum(table, axis=1, out=table)
+    return padded
 
+
+def _add_player(padded: np.ndarray, w: int) -> None:
+    """Add a player of weight w to a cumulative table in place, in
+    O(m * width):  C'[s][x] = C[s][x] + C[s-1][x-w]."""
+    m, width = padded.shape[0] // 2, padded.shape[1]
+    if w < width:
+        table = padded[m:]
+        table[1:, w:] += table[:-1, : width - w]
+
+
+def _remove_player(padded: np.ndarray, w: int) -> None:
+    """Remove a player of weight w from a cumulative table in place, in
+    O(m * width): the same recurrence solved row by row for the table
+    without it,  C'[s][x] = C[s][x] - C'[s-1][x-w]."""
+    m, width = padded.shape[0] // 2, padded.shape[1]
+    if w < width:
+        table = padded[m:]
+        for s in range(1, m + 1):
+            table[s, w:] -= table[s - 1, : width - w]
+
+
+def _gather_pivots(
+    padded: np.ndarray, weights: Sequence[int], quota: Fraction, total: int
+) -> dict[int, np.ndarray]:
+    """Map each distinct weight w of a game to the counts, by |S|, of
+    coalitions S without one player of weight w that the player turns
+    winning, read from the cumulative table of the game's players.
+
+    The table must reach the largest losing weight cap.  Removing a player
+    of weight w obeys the knapsack recurrence, so the cumulative counts
+    without it are  Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]  over
+    k <= min(m-1, x // w), and its pivots of size s are
+    Cw[s][cap] - Cw[s][low-1]: an O(m * min(m, cap/w)) gather per distinct
+    weight (Uno 2012).
+    """
+    m, ncols = padded.shape[0] // 2, padded.shape[1]
+    q_num, q_den = quota.numerator, quota.denominator
+    cap = (q_num * total) // q_den  # largest losing coalition weight
     flat = padded.ravel()
     starts = ((m + np.arange(m)) * ncols)[:, None]  # flat index of C[s][0]
     alt = (-1) ** np.arange(m)
     counts = {}
-    for w in set(game.weights):
+    for w in set(weights):
         if w == 0:
-            counts[w] = np.zeros(m, dtype=dtype)  # a null player turns no coalition winning
+            counts[w] = np.zeros(m, dtype=padded.dtype)  # a null player turns no coalition winning
             continue
         low = (q_num * total - w * q_den) // q_den + 1  # lightest S that i turns winning
         k_hi = min(m, cap // w + 1)
@@ -87,8 +115,25 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
     return counts
 
 
-def _check_budget(game: WeightedVotingGame, budget: int) -> None:
-    cost = game.num_players * game.total_weight
+def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
+    """Pivots by coalition size for each distinct weight of the game, from a
+    table that reaches exactly the largest losing weight."""
+    cap = (game.quota_ratio.numerator * game.total_weight) // game.quota_ratio.denominator
+    table = _cumulative_table(game.weights, cap + 1)
+    return _gather_pivots(table, game.weights, game.quota_ratio, game.total_weight)
+
+
+def _pivot_orderings(num_players: int) -> list[int]:
+    """s! * (m-1-s)! for s = 0..m-1: the orderings in which a given
+    coalition of size s precedes a player and the rest follow it.  A
+    player's pivots by size dotted with these is its Shapley-Shubik index
+    times m!."""
+    fact = [math.factorial(k) for k in range(num_players)]
+    return [fact[s] * fact[num_players - 1 - s] for s in range(num_players)]
+
+
+def _check_budget(num_players: int, total_weight: int, budget: int = DEFAULT_DP_BUDGET) -> None:
+    cost = num_players * total_weight
     if cost > budget:
         raise ResourceLimitError(
             f"num_players * total_weight = {cost} exceeds budget {budget}"
@@ -103,11 +148,9 @@ def shapley_shubik(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET)
     (size, weight) are weighted with |S|! * (m-|S|-1)! / m! in exact rational
     arithmetic, so the result carries no floating-point error.
     """
-    _check_budget(game, budget)
-    m = game.num_players
-    fact = [math.factorial(k) for k in range(m)]
-    coeff = [fact[s] * fact[m - 1 - s] for s in range(m)]
-    m_fact = math.factorial(m)
+    _check_budget(game.num_players, game.total_weight, budget)
+    coeff = _pivot_orderings(game.num_players)
+    m_fact = math.factorial(game.num_players)
     values = {
         w: Fraction(sum(map(mul, pivots.tolist(), coeff)), m_fact)
         for w, pivots in _pivot_counts_by_size(game).items()
@@ -142,7 +185,7 @@ def shapley_permutation_oracle(game: WeightedVotingGame) -> tuple[Fraction, ...]
 def banzhaf(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET) -> tuple[Fraction, ...]:
     """Raw Banzhaf measure: P(player i is critical) when every other player
     joins independently with probability 1/2.  Not normalized."""
-    _check_budget(game, budget)
+    _check_budget(game.num_players, game.total_weight, budget)
     m = game.num_players
     denominator = 2 ** (m - 1)
     # summed as Python ints: a player's swings reach 2^(m-1), past int64 at m = 65

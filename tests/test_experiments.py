@@ -236,6 +236,7 @@ class TestCli:
         assert main(["inverse", "0.42,0.25,0.24,0.09", "--bound", "30"]) == 0
         out = capsys.readouterr().out
         assert "certified: True" in out
+        assert "evaluations: 9" in out
         assert "5/12" in out
 
     def test_inverse_from_federation(self, tmp_path, capsys):

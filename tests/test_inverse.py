@@ -21,10 +21,11 @@ from twotier import (
     load_federation,
     shapley_permutation_oracle,
     shapley_shubik,
+    solve,
     solve_exhaustive,
     solve_local_search,
 )
-from twotier.inverse import _distance_key
+from twotier.inverse import _distance_key, _NeighbourKeys
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -106,6 +107,26 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             InverseProblemSpec(target=())
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_steps", -1),
+            ("max_steps", 2.5),
+            ("weight_sum_bound", 7.5),
+            ("restarts", 2.5),
+            ("seed", 1.5),
+            ("restarts", True),
+        ],
+    )
+    def test_rejects_bad_search_parameters(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            InverseProblemSpec(target=(0.5, 0.5), **{name: value})
+
+    def test_accepts_numpy_integers(self):
+        spec = InverseProblemSpec(target=(0.5, 0.5), weight_sum_bound=np.int64(10), max_steps=np.int64(0))
+        assert spec.weight_sum_bound == 10 and type(spec.weight_sum_bound) is int
+        assert solve_local_search(spec).steps == 0
+
 
 class TestLargestRemainder:
     def test_already_integral(self):
@@ -163,9 +184,10 @@ class TestSolveExhaustive:
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     def test_other_norms_same_optimum_here(self, norm):
         spec = InverseProblemSpec(target=(0.42, 0.25, 0.24, 0.09), weight_sum_bound=30, norm=norm)
-        solution = solve_exhaustive(spec)
-        assert solution.ssi == (F(5, 12), F(1, 4), F(1, 4), F(1, 12))
-        assert solution.optimality_certified
+        for solver in (solve_exhaustive, solve_local_search):
+            solution = solver(spec)
+            assert solution.ssi == (F(5, 12), F(1, 4), F(1, 4), F(1, 12))
+            assert solution.optimality_certified == (solver is solve_exhaustive)
 
     def test_target_49_33_9_9_matches_rescan_oracle(self):
         # full independent rescan certifies the optimum for this target
@@ -283,13 +305,14 @@ class TestSolveLocalSearch:
         assert solution.distance < proportional_distance
 
     @pytest.mark.parametrize(
-        "quota, weights, steps, l1",
+        "quota, weights, steps, evaluations, l1",
         [
             (
                 F(37, 50),
                 (74, 63, 62, 58, 46, 39, 22, 19, 12, 12, 12, 11, 11, 11,
                  10, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 0),
                 34,
+                1861,
                 0.013066041211063171,
             ),
             (
@@ -297,12 +320,13 @@ class TestSolveLocalSearch:
                 (77, 65, 64, 60, 47, 40, 21, 18, 12, 12, 11, 11, 11, 11,
                  9, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 1),
                 22,
+                1226,
                 0.01238390571319555,
             ),
         ],
         ids=["q37_50", "q1_2"],
     )
-    def test_eu28_search_path_pinned(self, quota, weights, steps, l1):
+    def test_eu28_search_path_pinned(self, quota, weights, steps, evaluations, l1):
         # one restart runs only from the proportional start: the steepest
         # +-1 descent must take the same path to the same vector
         fed = load_federation(DATA / "eu28.csv")
@@ -312,7 +336,78 @@ class TestSolveLocalSearch:
         solution = solve_local_search(spec)
         assert solution.game.weights == weights
         assert solution.steps == steps
+        assert solution.evaluations == evaluations
         assert solution.distance == l1
+
+
+@st.composite
+def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6)):
+    """A problem and a weight vector.  Half of the vectors have one player
+    at the edge of the step table (the largest losing weight of the +1
+    neighbours, or one above it), so that its +1 neighbour leaves the
+    table or its -1 neighbour enters it."""
+    m = draw(players)
+    quota = draw(st.sampled_from([F(1, 2), F(2, 3), F(37, 50), F(99, 100)]))
+    vec = draw(st.lists(weights, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rest = sum(vec) - vec[0]
+
+        def width(h):
+            return quota.numerator * (h + rest + 1) // quota.denominator + 1
+
+        outside = next(h for h in itertools.count() if h >= width(h))
+        vec[0] = outside - draw(st.integers(0, 1))
+    raw = draw(st.lists(st.integers(0, 100), min_size=m, max_size=m).filter(any))
+    target = tuple(F(t, sum(raw)) for t in raw)
+    norm = draw(st.sampled_from(["l1", "l2", "linf"]))
+    return InverseProblemSpec(target=target, quota_ratio=quota, norm=norm), tuple(vec)
+
+
+def check_neighbour_keys(spec, vec):
+    """Every incremental key equals the key of a fresh exact index."""
+    exact = _distance_key(spec.target, spec.norm)
+
+    def fresh(v):
+        return exact(shapley_shubik(WeightedVotingGame(v, spec.quota_ratio)))
+
+    expected = []
+    for i, delta in itertools.product(range(len(vec)), (1, -1)):
+        v = vec[:i] + (vec[i] + delta,) + vec[i + 1 :]
+        if min(v) >= 0 and any(v):
+            expected.append(v)
+    keys = _NeighbourKeys(spec)
+    scored = list(keys.neighbours(vec))
+    assert [v for v, _ in scored] == expected
+    assert [key for _, key in scored] == [fresh(v) for v in expected]
+    assert keys.of(vec) == fresh(vec)
+    assert len(keys.cache) == len(expected) + 1
+
+
+class TestNeighbourKeys:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(neighbour_cases().filter(lambda case: any(case[1])))
+    def test_equal_fresh_index_keys(self, case):
+        check_neighbour_keys(*case)
+
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(neighbour_cases(players=st.just(66), weights=st.integers(0, 2)).filter(lambda case: any(case[1])))
+    def test_equal_fresh_index_keys_object_counts(self, case):
+        # past C(m, m/2) >= 2^62 the counts are Python ints
+        check_neighbour_keys(*case)
+
+
+class TestSolve:
+    def test_auto_picks_by_player_count(self):
+        small = InverseProblemSpec(target=(0.42, 0.25, 0.24, 0.09), weight_sum_bound=30, restarts=2)
+        assert solve(small).method == "exhaustive"
+        assert solve(small, "local").method == "local_search"
+        large = InverseProblemSpec(target=(F(1, 7),) * 7, weight_sum_bound=14, restarts=1)
+        assert solve(large).method == "local_search"
+        assert solve(large).distance == 0.0
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError):
+            solve(InverseProblemSpec(target=(F(1, 2), F(1, 2))), "annealing")
 
 
 class TestInverseSolution:
