@@ -16,9 +16,9 @@ from fractions import Fraction
 from .experiments import (
     ExperimentConfig,
     InverseSolverOptions,
-    _parse_key_values,
     build_weights,
     load_federation,
+    parse_key_values,
     run_experiment,
 )
 from .games import ResourceLimitError, WeightedVotingGame, enumerate_game_classes
@@ -89,7 +89,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    raw = _parse_key_values(args.config)
+    raw = parse_key_values(args.config)
     for key in ("federation", "game", "t", "replications", "seed"):
         if key not in raw:
             raise ValueError(f"{args.config}: missing required config key {key!r}")

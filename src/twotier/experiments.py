@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRow",
     "load_federation",
+    "parse_key_values",
     "write_federation",
     "build_weights",
     "run_experiment",
@@ -174,7 +175,7 @@ class ExperimentConfig:
         weight_total, solver_bound, solver_restarts, solver_max_steps,
         solver_method, output.
         """
-        raw = _parse_key_values(path)
+        raw = parse_key_values(path)
         required = ("federation", "quota", "t_grid", "replications", "seed")
         for key in required:
             if key not in raw:
@@ -202,7 +203,8 @@ class ExperimentConfig:
         )
 
 
-def _parse_key_values(path) -> dict[str, str]:
+def parse_key_values(path) -> dict[str, str]:
+    """Read ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

@@ -47,8 +47,8 @@ def exact_quota(value: Fraction | str | int) -> Fraction:
             "quota must be a Fraction, string, or integer ratio, not float; "
             "pass e.g. Fraction(74, 100) or '0.74' for exactness"
         )
-    quota = Fraction(value)
-    if not Fraction(1, 2) <= quota < 1:
+    quota = value if type(value) is Fraction else Fraction(value)
+    if not quota.denominator <= 2 * quota.numerator < 2 * quota.denominator:
         raise ValueError(f"quota must satisfy 1/2 <= q < 1, got {quota}")
     return quota
 
@@ -164,35 +164,28 @@ class CanonicalGameSignature:
     minimal_winning: tuple[int, ...]
 
 
-def _subset_weights(weights: tuple[int, ...]) -> np.ndarray:
-    """Weights of all 2^m coalitions, indexed by bitmask."""
-    out = np.zeros(1 << len(weights), dtype=np.int64)
-    for i, w in enumerate(weights):
-        out[1 << i : 1 << (i + 1)] = out[: 1 << i] + w
-    return out
-
-
 def canonicalize(game: WeightedVotingGame, max_players: int = 20) -> CanonicalGameSignature:
     """Canonical signature of a game, invariant under player permutation
-    and under scaling all weights by a positive integer."""
+    and under scaling all weights by a positive integer.
+
+    With the weights sorted non-increasing, a coalition's lightest member is
+    its highest set bit i, so mask ``2^i + j`` without it is mask ``j``.  A
+    winning coalition is minimal iff that one loses: removing the lightest
+    member leaves the most weight of any single removal.
+    """
     m = game.num_players
     if m > max_players:
         raise ResourceLimitError(f"canonical form enumerates 2^{m} coalitions, above the {max_players}-player cap")
-    order = sorted(range(m), key=lambda i: (-game.weights[i], i))
-    weights = tuple(game.weights[i] for i in order)
-
     quota = game.quota_ratio
-    total = game.total_weight
-    winning = _subset_weights(weights) * quota.denominator > quota.numerator * total
-
-    # minimal winning: winning, and dropping any single member loses
-    minimal = winning.copy()
-    indices = np.arange(1 << m)
+    bar = quota.numerator * game.total_weight // quota.denominator  # winning iff weight > bar
+    subset = np.zeros(1 << m, dtype=np.int64)  # coalition weights, indexed by bitmask
+    for i, w in enumerate(sorted(game.weights, reverse=True)):
+        subset[1 << i : 2 << i] = subset[: 1 << i] + w
+    winning = subset > bar
+    minimal = np.zeros(1 << m, dtype=bool)
     for i in range(m):
-        holders = indices[(indices >> i) & 1 == 1]
-        minimal[holders] &= ~winning[holders ^ (1 << i)]
-    masks = tuple(int(mask) for mask in np.flatnonzero(minimal))
-    return CanonicalGameSignature(m, masks)
+        np.greater(winning[1 << i : 2 << i], winning[: 1 << i], out=minimal[1 << i : 2 << i])
+    return CanonicalGameSignature(m, tuple(minimal.nonzero()[0].tolist()))
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,9 @@ def sample_median_shock(population: int, dist: Distribution, rng: np.random.Gene
     else:
         half = population // 2
         upper = rng.beta(half + 1, half, count)
-        lower = upper * rng.random(count) ** (1.0 / half)
+        uniform = rng.random(count)
+        uniform[uniform == 0.0] = 1.0  # V on (0, 1]: V = 0 would give ppf(0) = -inf
+        lower = upper * uniform ** (1.0 / half)
         med = 0.5 * (dist.ppf(lower) + dist.ppf(upper))
     return float(med[0]) if size is None else med
 

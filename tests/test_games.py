@@ -1,9 +1,12 @@
 """Game representation, exact quota arithmetic, canonical forms, enumeration."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twotier import (
     CanonicalGameSignature,
@@ -16,6 +19,41 @@ from twotier import (
 )
 
 HALF = Fraction(1, 2)
+
+# fixed example sequence, so a run of the suite is reproducible
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def games(draw, max_players=8):
+    """Games with zero weights, weights above the largest losing weight, and
+    quotas from 1/2 to 99/100 or exactly at the weight of some coalition."""
+    m = draw(st.integers(1, max_players))
+    weight = st.integers(0, 6) | st.integers(0, 60)
+    weights = draw(st.lists(weight, min_size=m, max_size=m).filter(any))
+    total = sum(weights)
+    members = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    at_quota = Fraction(sum(w for w, x in zip(weights, members) if x), total)
+    if draw(st.booleans()) and HALF <= at_quota < 1:
+        quota = at_quota  # that coalition sits exactly at q * T and loses
+    else:
+        quota = Fraction(draw(st.integers(50, 99)), 100)
+    return WeightedVotingGame(tuple(weights), quota)
+
+
+def minimal_winning_oracle(game):
+    """Signature by definition: winning coalitions of the weight-sorted game
+    from which every one-member removal loses."""
+    m = game.num_players
+    ordered = WeightedVotingGame(tuple(sorted(game.weights, reverse=True)), game.quota_ratio)
+    minimal = []
+    for mask in range(1 << m):
+        members = [i for i in range(m) if (mask >> i) & 1]
+        if ordered.is_winning(members) and not any(
+            ordered.is_winning([j for j in members if j != i]) for i in members
+        ):
+            minimal.append(mask)
+    return CanonicalGameSignature(m, tuple(minimal))
 
 
 def random_game(rng, max_players=6, max_weight=9):
@@ -137,6 +175,29 @@ class TestCanonicalize:
         sig = canonicalize(WeightedVotingGame((1, 0, 0), HALF))
         assert sig == CanonicalGameSignature(3, (1,))
 
+    @PROPERTY
+    @given(games())
+    @example(WeightedVotingGame((3, 3, 3, 1, 1, 0, 0, 0), HALF))  # tied and zero weights
+    @example(WeightedVotingGame((40, 25, 25, 10), HALF))  # {40, 10} sits exactly at the quota
+    @example(WeightedVotingGame((5, 5, 5, 5, 5, 5, 5, 5), Fraction(5, 8)))  # five of eight sit at it
+    @example(WeightedVotingGame((6 * 10**5, 5 * 10**5, 4 * 10**5), Fraction(10**13 + 1, 2 * 10**13)))  # weight × 2e13 > int64
+    def test_equals_definition_property(self, game):
+        assert canonicalize(game) == minimal_winning_oracle(game)
+
+    def test_player_cap(self):
+        game = WeightedVotingGame((1,) * 21, HALF)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                canonicalize(game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # the 2^21 coalition weights alone would take 16 MiB
+        with pytest.raises(ResourceLimitError):
+            canonicalize(WeightedVotingGame((1, 1, 1, 1), HALF), max_players=3)
+        assert canonicalize(WeightedVotingGame((1, 1, 1, 1), HALF), max_players=4).minimal_winning == (7, 11, 13, 14)
+
 
 class TestEnumeration:
     def test_single_player(self):
@@ -153,6 +214,10 @@ class TestEnumeration:
         assert enum8.count == 9
         assert enum12.count == 9
         assert {c.signature for c in enum8.classes} == {c.signature for c in enum12.classes}
+
+    @pytest.mark.parametrize("players, bound, count", [(5, 8, 27), (6, 6, 104)])
+    def test_larger_counts_pinned(self, players, bound, count):
+        assert enumerate_game_classes(players, HALF, bound).count == count
 
     def test_count_non_decreasing_in_bound(self):
         counts = [enumerate_game_classes(4, HALF, bound).count for bound in (1, 2, 4, 8)]

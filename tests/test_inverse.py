@@ -193,12 +193,14 @@ class TestSolveExhaustive:
         # full independent rescan certifies the optimum for this target
         target = (F(49, 100), F(33, 100), F(9, 100), F(9, 100))
         oracle_key, oracle_vec = rescan_optimum(target, HALF, "l1", 8)
-        spec = InverseProblemSpec(target=target, weight_sum_bound=30)
-        solution = solve_exhaustive(spec)
-        assert solution.distance == pytest.approx(float(oracle_key), abs=1e-12)
         assert oracle_key == F(47, 150)
         assert oracle_vec == (2, 2, 1, 1)
-        assert sorted(solution.ssi, reverse=True) == [F(1, 3), F(1, 3), F(1, 6), F(1, 6)]
+        # every non-increasing vector with sum 1..bound is scanned; 9 classes
+        for bound, scanned in ((30, 2_723), (50, 16_389)):
+            solution = solve_exhaustive(InverseProblemSpec(target=target, weight_sum_bound=bound))
+            assert solution.distance == pytest.approx(float(oracle_key), abs=1e-12)
+            assert sorted(solution.ssi, reverse=True) == [F(1, 3), F(1, 3), F(1, 6), F(1, 6)]
+            assert (solution.steps, solution.evaluations) == (scanned, 9)
 
     def test_rescan_oracle_on_random_targets(self):
         rng = np.random.default_rng(22)

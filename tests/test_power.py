@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from twotier import (
     ResourceLimitError,
@@ -17,31 +16,10 @@ from twotier import (
     shapley_permutation_oracle,
     shapley_shubik,
 )
-from tests.test_games import random_game
+from tests.test_games import PROPERTY, games, random_game
 
 HALF = Fraction(1, 2)
 F = Fraction
-
-# fixed example sequence, so a run of the suite is reproducible
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
-
-
-@st.composite
-def games(draw, max_players=8):
-    """Games with zero weights, weights above the largest losing weight, and
-    quotas from 1/2 to 99/100 or exactly at the weight of some coalition."""
-    m = draw(st.integers(1, max_players))
-    weight = st.integers(0, 6) | st.integers(0, 60)
-    weights = draw(st.lists(weight, min_size=m, max_size=m).filter(any))
-    total = sum(weights)
-    members = draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    at_quota = Fraction(sum(w for w, x in zip(weights, members) if x), total)
-    if draw(st.booleans()) and HALF <= at_quota < 1:
-        quota = at_quota  # that coalition sits exactly at q * T and loses
-    else:
-        quota = Fraction(draw(st.integers(50, 99)), 100)
-    return WeightedVotingGame(tuple(weights), quota)
-
 
 def brute_force_banzhaf(game):
     m = game.num_players
@@ -82,6 +60,15 @@ class TestShapleyShubik:
             assert sum(values) == 1
             m_fact = math.factorial(game.num_players)
             assert all(v >= 0 and (v * m_fact).denominator == 1 for v in values)
+
+    @PROPERTY
+    @given(games(max_players=30))
+    def test_efficiency_and_symmetry_property(self, game):
+        # up to 30 players: the int64 counting path
+        values = shapley_shubik(game)
+        assert sum(values) == 1
+        by_weight = dict(zip(game.weights, values))
+        assert values == tuple(by_weight[w] for w in game.weights)
 
     def test_null_symmetry_monotonicity(self):
         rng = np.random.default_rng(12)

@@ -108,6 +108,20 @@ class TestMedianShock:
         brute = sample_median_brute(population, dist, np.random.default_rng(seed + 7), 60_000)
         assert stats.ks_2samp(shortcut, brute).pvalue > 0.01
 
+    def test_zero_uniform_draw_stays_finite(self):
+        # V = 0 in the even-population shortcut would put the lower central
+        # order statistic at ppf(0) = -inf; V is drawn on (0, 1] instead
+        class ZeroUniform:
+            def beta(self, a, b, size):
+                return np.full(size, 0.7)
+
+            def random(self, size):
+                return np.zeros(size)
+
+        expected = NORMAL.ppf(np.array([0.7]))[0]
+        assert sample_median_shock(4, NORMAL, ZeroUniform()) == expected
+        np.testing.assert_array_equal(sample_median_shock(10, NORMAL, ZeroUniform(), 3), np.full(3, expected))
+
     def test_variance_formula(self):
         assert median_shock_variance(3, UNIFORM) == pytest.approx(1 / 20)
         rng = np.random.default_rng(37)
