@@ -8,7 +8,6 @@ Carlo simulator of a continuous median-voter model of assembly decisions.
 
 from .games import (
     CanonicalGameSignature,
-    Coalition,
     GameClass,
     GameClassEnumeration,
     ResourceLimitError,
@@ -60,7 +59,6 @@ from .experiments import (
 
 __all__ = [
     "CanonicalGameSignature",
-    "Coalition",
     "GameClass",
     "GameClassEnumeration",
     "ResourceLimitError",

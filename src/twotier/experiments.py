@@ -15,7 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from .games import WeightedVotingGame, exact_quota
-from .inverse import SOLVER_METHODS, InverseProblemSpec, largest_remainder, solve, solve_local_search
+from .inverse import (
+    SOLVER_METHODS,
+    InverseProblemSpec,
+    _check_integer,
+    _check_search_parameters,
+    largest_remainder,
+    solve,
+    solve_local_search,
+)
 from .power import shapley_shubik
 from .simulation import (
     FederationSpec,
@@ -76,6 +84,7 @@ def load_federation(path) -> FederationSpec:
 
 
 def write_federation(fed: FederationSpec, path) -> None:
+    """Write ``fed`` as the CSV that ``load_federation`` reads back unchanged."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["name", "population"])
@@ -94,6 +103,7 @@ class InverseSolverOptions:
     method: str = "auto"  # auto | exhaustive | local
 
     def __post_init__(self) -> None:
+        _check_search_parameters(self)
         if self.method not in SOLVER_METHODS:
             raise ValueError(f"unknown solver method {self.method!r}")
 
@@ -157,8 +167,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be strictly increasing")
         object.__setattr__(self, "t_grid", grid)
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
+        for name, minimum in (("replications", 1), ("seed", 0), ("weight_total", 1)):
+            _check_integer(self, name, minimum)
         rules = tuple(self.rules)
         if not rules:
             raise ValueError("at least one weight rule required")

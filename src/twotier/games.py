@@ -18,7 +18,6 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "Coalition",
     "WeightedVotingGame",
     "CanonicalGameSignature",
     "GameClass",
@@ -51,35 +50,6 @@ def exact_quota(value: Fraction | str | int) -> Fraction:
     if not quota.denominator <= 2 * quota.numerator < 2 * quota.denominator:
         raise ValueError(f"quota must satisfy 1/2 <= q < 1, got {quota}")
     return quota
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """Subset of player indices with bitset semantics (exact, hashable)."""
-
-    mask: int = 0
-
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "Coalition":
-        mask = 0
-        for idx in members:
-            if idx < 0:
-                raise IndexError(f"player index {idx} out of range")
-            mask |= 1 << idx
-        return cls(mask)
-
-    def contains(self, idx: int) -> bool:
-        return bool((self.mask >> idx) & 1)
-
-    def with_member(self, idx: int) -> "Coalition":
-        return Coalition(self.mask | (1 << idx))
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -118,9 +88,7 @@ class WeightedVotingGame:
         quota = self.quota_ratio
         return weight * quota.denominator > quota.numerator * self.total_weight
 
-    def coalition_weight(self, members: Coalition | Iterable[int]) -> int:
-        if isinstance(members, Coalition):
-            members = members.members()
+    def coalition_weight(self, members: Iterable[int]) -> int:
         weight = 0
         for idx in set(members):
             if not 0 <= idx < self.num_players:
@@ -128,7 +96,7 @@ class WeightedVotingGame:
             weight += self.weights[idx]
         return weight
 
-    def is_winning(self, members: Coalition | Iterable[int]) -> bool:
+    def is_winning(self, members: Iterable[int]) -> bool:
         return self.wins_weight(self.coalition_weight(members))
 
     def to_text(self) -> str:

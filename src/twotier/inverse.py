@@ -123,6 +123,25 @@ def largest_remainder(shares: Sequence, total: int) -> list[int]:
     return base
 
 
+def _check_integer(owner, name: str, minimum: int) -> None:
+    """Store field ``name`` of the frozen dataclass ``owner`` as an int, or
+    raise ValueError naming it when it is not an integer (a bool, or a
+    float even with an integral value) or is below ``minimum``."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    object.__setattr__(owner, name, int(value))
+
+
+def _check_search_parameters(owner) -> None:
+    """The search fields shared by ``InverseProblemSpec`` and the solver
+    options of an experiment."""
+    for name, minimum in (("weight_sum_bound", 1), ("restarts", 1), ("max_steps", 0), ("seed", 0)):
+        _check_integer(owner, name, minimum)
+
+
 @dataclass(frozen=True)
 class InverseProblemSpec:
     """Target shares plus search parameters for the inverse problem.
@@ -155,19 +174,7 @@ class InverseProblemSpec:
         object.__setattr__(self, "target", tuple(t / pool for t in raw))
         object.__setattr__(self, "quota_ratio", exact_quota(self.quota_ratio))
         object.__setattr__(self, "norm", _norm_name(self.norm))
-        for name in ("weight_sum_bound", "restarts", "max_steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.weight_sum_bound < 1:
-            raise ValueError("weight_sum_bound must be positive")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_search_parameters(self)
 
     @property
     def num_players(self) -> int:
@@ -312,19 +319,27 @@ def _initial_points(spec: InverseProblemSpec) -> Iterable[tuple[int, ...]]:
         yield _align_to_target(rounded, spec.target)
 
 
+# bytes of edited tables (of references, for object counts) stacked for one
+# gather; bounds the memory a descent step adds
+_STACK_BYTES = 1 << 19
+
+
 class _NeighbourKeys:
     """Exact distance keys of weight vectors for one inverse problem,
     cached by vector, each equal to
     ``_distance_key(target, norm)(shapley_shubik(game))``.
 
-    A descent step builds the cumulative (size, weight) table of the
-    current vector once, wide enough for the largest losing weight of its
-    +1 neighbours.  Each player's weight is removed from a copy of it once;
-    each of the player's two neighbours adds its changed weight back to a
-    copy of that (O(m * cap) per edit instead of O(m^2 * cap) for a fresh
-    table) and gathers its pivots at its own cap.  The key comes from the
-    integer numerators, with no Fraction built.  Only keys are cached, no
-    tables.
+    A descent step scores its uncached +-1 neighbours together.  The
+    neighbours that change a player of weight u by delta have the same
+    weight multiset, so they share one edited table: the cumulative (size,
+    weight) table of the current vector, built once per step wide enough
+    for the largest losing weight of the +1 neighbours, with u removed and
+    u + delta added (O(m * cap) per edit instead of O(m^2 * cap) for a fresh
+    table), and one set of pivots by weight.  All tables of one delta share
+    the total, hence the cap and every gather offset, so they are stacked
+    (at most ``_STACK_BYTES`` at a time) and gathered once per weight in
+    the stack.  The key comes from the integer numerators, with no Fraction
+    built.  Only keys are cached, no tables.
     """
 
     def __init__(self, spec: InverseProblemSpec):
@@ -333,47 +348,64 @@ class _NeighbourKeys:
         self.orderings = _pivot_orderings(spec.num_players)
         self.cache: dict[tuple[int, ...], int] = {}
 
-    def _score(self, vec: tuple[int, ...], pivots: dict[int, np.ndarray]) -> int:
-        numerators = {w: sum(map(mul, p.tolist(), self.orderings)) for w, p in pivots.items()}
-        key = self.cache[vec] = self.numerator_key([numerators[w] for w in vec])
-        return key
+    def _cache_keys(self, vecs: list[tuple[int, ...]], pivots: dict[int, list[int]]) -> None:
+        """Cache the keys of ``vecs``, vectors of one weight multiset whose
+        pivots by size, per weight, are ``pivots``."""
+        numerators = {w: sum(map(mul, pivots[w], self.orderings)) for w in set(vecs[0])}
+        for vec in vecs:
+            self.cache[vec] = self.numerator_key([numerators[w] for w in vec])
 
     def of(self, vec: tuple[int, ...]) -> int:
         """Key of one vector, such as the start of a descent."""
-        key = self.cache.get(vec)
-        if key is None:
+        if vec not in self.cache:
             game = WeightedVotingGame(vec, self.quota)
             _check_budget(game.num_players, game.total_weight)
-            key = self._score(vec, _pivot_counts_by_size(game))
-        return key
+            self._cache_keys([vec], {w: p.tolist() for w, p in _pivot_counts_by_size(game).items()})
+        return self.cache[vec]
 
     def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each +-1 neighbour of ``current`` (weights non-negative, not all
         zero) with its key, player by player, +1 before -1."""
         total = sum(current)
-        table = None
+        moves = []
+        pending: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # (delta, u) -> uncached neighbours
         for i, w in enumerate(current):
-            without = None
             for delta in (1, -1):
-                value = w + delta
-                if value < 0:
+                neighbour = current[:i] + (w + delta,) + current[i + 1 :]
+                if w + delta < 0 or not any(neighbour):
                     continue
-                neighbour = current[:i] + (value,) + current[i + 1 :]
-                if not any(neighbour):
-                    continue
-                key = self.cache.get(neighbour)
-                if key is None:
+                moves.append(neighbour)
+                if neighbour not in self.cache:
                     _check_budget(len(neighbour), total + delta)
-                    if without is None:
-                        if table is None:
-                            cap_up = (self.quota.numerator * (total + 1)) // self.quota.denominator
-                            table = _cumulative_table(current, cap_up + 1)
-                        without = table.copy()
-                        _remove_player(without, w)
-                    edited = without.copy()
-                    _add_player(edited, value)
-                    key = self._score(neighbour, _gather_pivots(edited, neighbour, self.quota, total + delta))
-                yield neighbour, key
+                    pending.setdefault((delta, w), []).append(neighbour)
+        if pending:
+            self._score_step(current, total, pending)
+        for neighbour in moves:
+            yield neighbour, self.cache[neighbour]
+
+    def _score_step(
+        self, current: tuple[int, ...], total: int, pending: dict[tuple[int, int], list[tuple[int, ...]]]
+    ) -> None:
+        """Cache the keys of every neighbour in ``pending``, one edited
+        table per (delta, u), stacked and gathered in chunks."""
+        cap_up = (self.quota.numerator * (total + 1)) // self.quota.denominator
+        table = _cumulative_table(current, cap_up + 1)
+        size = min(max(1, _STACK_BYTES // table.nbytes), len(pending))
+        buffer = np.empty((size, *table.shape), dtype=table.dtype)  # reused by every chunk
+        for delta in (1, -1):
+            groups = [(u, vecs) for (d, u), vecs in pending.items() if d == delta]
+            for first in range(0, len(groups), size):
+                chunk = groups[first : first + size]
+                stack = buffer[: len(chunk)]
+                for edited, (u, _) in zip(stack, chunk):
+                    edited[...] = table
+                    _remove_player(edited, u)
+                    _add_player(edited, u + delta)
+                weights = set().union(*(vecs[0] for _, vecs in chunk))
+                gathered = _gather_pivots(stack, weights, self.quota, total + delta)
+                pivots = {w: p.tolist() for w, p in gathered.items()}
+                for row, (_, vecs) in enumerate(chunk):
+                    self._cache_keys(vecs, {w: p[row] for w, p in pivots.items()})
 
 
 def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:

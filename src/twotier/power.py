@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,8 +32,9 @@ DEFAULT_DP_BUDGET = 2_000_000
 
 def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """Cumulative counts C[s][x] of coalitions of size s and weight <= x
-    for x < width, below m zero rows that stand for negative sizes (so
-    C[s-k] needs no bounds check): an array of shape (2m + 1, width).
+    for x < width, below one zero row that stands for size -1: an array of
+    shape (m + 2, width).  ``_gather_pivots`` clips a flat index below that
+    row to its first cell, so C[s-k] reads 0 for every k > s.
 
     One knapsack pass over (coalition size, coalition weight) counts the
     coalitions in O(m^2 * width), and a running sum over weight makes the
@@ -44,8 +45,8 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """
     m = len(weights)
     dtype = np.int64 if math.comb(m, m // 2) < 2**62 else object
-    padded = np.zeros((2 * m + 1, width), dtype=dtype)
-    table = padded[m:]
+    padded = np.zeros((m + 2, width), dtype=dtype)
+    table = padded[1:]
     table[0, 0] = 1
     filled = 0  # rows 0..filled may hold non-zero counts
     for w in weights:
@@ -61,9 +62,9 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
 def _add_player(padded: np.ndarray, w: int) -> None:
     """Add a player of weight w to a cumulative table in place, in
     O(m * width):  C'[s][x] = C[s][x] + C[s-1][x-w]."""
-    m, width = padded.shape[0] // 2, padded.shape[1]
+    width = padded.shape[1]
     if w < width:
-        table = padded[m:]
+        table = padded[1:]
         table[1:, w:] += table[:-1, : width - w]
 
 
@@ -71,47 +72,51 @@ def _remove_player(padded: np.ndarray, w: int) -> None:
     """Remove a player of weight w from a cumulative table in place, in
     O(m * width): the same recurrence solved row by row for the table
     without it,  C'[s][x] = C[s][x] - C'[s-1][x-w]."""
-    m, width = padded.shape[0] // 2, padded.shape[1]
+    m, width = padded.shape[0] - 2, padded.shape[1]
     if w < width:
-        table = padded[m:]
+        table = padded[1:]
         for s in range(1, m + 1):
             table[s, w:] -= table[s - 1, : width - w]
 
 
 def _gather_pivots(
-    padded: np.ndarray, weights: Sequence[int], quota: Fraction, total: int
+    stack: np.ndarray, weights: Iterable[int], quota: Fraction, total: int
 ) -> dict[int, np.ndarray]:
-    """Map each distinct weight w of a game to the counts, by |S|, of
+    """Map each weight w in ``weights`` to the counts, by |S|, of
     coalitions S without one player of weight w that the player turns
-    winning, read from the cumulative table of the game's players.
+    winning: an array of shape (n, m) for a stack of n cumulative tables,
+    shape (n, m + 2, width), of games with the same player count and the
+    same total weight.
 
-    The table must reach the largest losing weight cap.  Removing a player
+    The tables must reach the largest losing weight cap.  Removing a player
     of weight w obeys the knapsack recurrence, so the cumulative counts
     without it are  Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]  over
     k <= min(m-1, x // w), and its pivots of size s are
     Cw[s][cap] - Cw[s][low-1]: an O(m * min(m, cap/w)) gather per distinct
-    weight (Uno 2012).
+    weight (Uno 2012), made for the whole stack at once.  The row of a
+    table whose game has no player of weight w is meaningless.
     """
-    m, ncols = padded.shape[0] // 2, padded.shape[1]
+    n, m, ncols = stack.shape[0], stack.shape[1] - 2, stack.shape[2]
     q_num, q_den = quota.numerator, quota.denominator
     cap = (q_num * total) // q_den  # largest losing coalition weight
-    flat = padded.ravel()
-    starts = ((m + np.arange(m)) * ncols)[:, None]  # flat index of C[s][0]
+    flat = stack.reshape(n, -1)
+    starts = ((1 + np.arange(m)) * ncols)[:, None]  # flat index of C[s][0]
     alt = (-1) ** np.arange(m)
+    # signs[m - k_lo : m + k_hi]: -(-1)^k for k = k_lo-1 down to 0, then (-1)^k for k < k_hi
+    signs = np.concatenate((-alt[::-1], alt))
     counts = {}
     for w in set(weights):
         if w == 0:
-            counts[w] = np.zeros(m, dtype=padded.dtype)  # a null player turns no coalition winning
+            counts[w] = np.zeros((n, m), dtype=stack.dtype)  # a null player turns no coalition winning
             continue
         low = (q_num * total - w * q_den) // q_den + 1  # lightest S that i turns winning
         k_hi = min(m, cap // w + 1)
         k_lo = min(m, (low - 1) // w + 1) if low > 0 else 0
-        k = np.arange(max(k_hi, k_lo))
         step = ncols + w  # flat distance from C[s-k][x-k*w] to C[s-k-1][x-(k+1)*w]
-        offsets = np.concatenate((cap - step * k[:k_hi], low - 1 - step * k[:k_lo]))
-        signs = np.concatenate((alt[:k_hi], -alt[:k_lo]))
+        # C[s-k][low-1-k*w] for k = k_lo-1 down to 0, then C[s-k][cap-k*w] for k < k_hi
+        offsets = [*range(low - 1 - step * (k_lo - 1), low, step), *range(cap, cap - step * k_hi, -step)]
         # int64 sums may wrap midway; exact because every final count fits
-        counts[w] = flat[starts + offsets] @ signs
+        counts[w] = flat.take(starts + offsets, axis=1, mode="clip") @ signs[m - k_lo : m + k_hi]
     return counts
 
 
@@ -120,7 +125,8 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
     table that reaches exactly the largest losing weight."""
     cap = (game.quota_ratio.numerator * game.total_weight) // game.quota_ratio.denominator
     table = _cumulative_table(game.weights, cap + 1)
-    return _gather_pivots(table, game.weights, game.quota_ratio, game.total_weight)
+    pivots = _gather_pivots(table[None], game.weights, game.quota_ratio, game.total_weight)
+    return {w: counts[0] for w, counts in pivots.items()}
 
 
 def _pivot_orderings(num_players: int) -> list[int]:

@@ -42,7 +42,6 @@ __all__ = [
     "run_replication",
     "estimate_pivot_probabilities",
     "ordering_match_rate",
-    "ordering_match_lower_bound",
     "median_shock_variance",
     "voter_influence",
     "fairness_deviation",
@@ -110,14 +109,6 @@ class Distribution:
             low, high = self.params
             return (high - low) ** 2 / 12.0
         return self.params[1] ** 2
-
-    @property
-    def density_bound(self) -> float:
-        """Supremum of the density function."""
-        if self.name == "uniform":
-            low, high = self.params
-            return 1.0 / (high - low)
-        return 1.0 / (self.params[1] * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -395,22 +386,6 @@ def ordering_match_rate(
         same = np.argsort(ideals, axis=1, kind="stable") == np.argsort(shared, axis=1, kind="stable")
         matches += int(same.all(axis=1).sum())
     return matches / replications
-
-
-def ordering_match_lower_bound(fed: FederationSpec, model: PreferenceModel) -> float:
-    """Crude analytic lower bound on the ordering match rate:
-    1 - (8 * k * m(m-1)/2 + sum of median-shock variances) * cohesion^(-2/3)
-    with k the sup of the shared-shock density.  Vacuous (negative) unless
-    cohesion is enormous; useful only as a sanity floor."""
-    if model.cohesion <= 0:
-        raise ValueError("bound requires cohesion > 0")
-    m = fed.num_constituencies
-    density_cap = model.constituency.density_bound
-    variance_sum = sum(
-        median_shock_variance(p, model.idiosyncratic) for p in fed.populations
-    )
-    slack = (8.0 * density_cap * math.comb(m, 2) + variance_sum) * model.cohesion ** (-2.0 / 3.0)
-    return 1.0 - slack
 
 
 def _pivot_values(pi) -> list:

@@ -144,6 +144,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown weight rule"):
             ExperimentConfig("f.csv", HALF, (1.0,), 10, 0, rules=("nearest",))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("replications", 2.5),
+            ("replications", True),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("weight_total", 0),
+            ("weight_total", 2.5),
+        ],
+    )
+    def test_rejects_bad_integers(self, name, value):
+        fields = {"replications": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig("f.csv", HALF, (1.0,), **fields)
+
+    @pytest.mark.parametrize(
+        "name, value", [("weight_sum_bound", 2.5), ("restarts", 0), ("max_steps", -1), ("seed", -3)]
+    )
+    def test_solver_options_reject_bad_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            InverseSolverOptions(**{name: value})
+
 
 class TestRunExperiment:
     def small_config(self, tmp_path, **overrides):

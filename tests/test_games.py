@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from twotier import (
     CanonicalGameSignature,
-    Coalition,
     ResourceLimitError,
     WeightedVotingGame,
     canonicalize,
@@ -110,13 +109,12 @@ class TestIsWinning:
         game = WeightedVotingGame((40, 25, 25, 10), HALF)
         assert not game.is_winning({0, 3})  # weight 50 is not strictly above 50
 
-    def test_coalition_type(self):
+    def test_member_iterables(self):
         game = WeightedVotingGame((42, 25, 24, 9), HALF)
-        coalition = Coalition.from_members({0, 3})
-        assert coalition.size == 2
-        assert coalition.contains(3) and not coalition.contains(1)
-        assert coalition.with_member(1).members() == (0, 1, 3)
-        assert game.is_winning(coalition)
+        assert game.coalition_weight({0, 3}) == 51
+        assert game.coalition_weight([3, 0, 3]) == 51  # a member counts once
+        assert game.is_winning(i for i in (0, 3))
+        assert game.is_winning(range(1, 4)) and not game.is_winning((1, 2))
 
     def test_index_out_of_range(self):
         game = WeightedVotingGame((1, 1), HALF)

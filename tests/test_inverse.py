@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from twotier import (
     solve_exhaustive,
     solve_local_search,
 )
+from twotier import inverse
 from twotier.inverse import _distance_key, _NeighbourKeys
+from twotier.power import _cumulative_table
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -343,14 +346,14 @@ class TestSolveLocalSearch:
 
 
 @st.composite
-def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6)):
-    """A problem and a weight vector.  Half of the vectors have one player
-    at the edge of the step table (the largest losing weight of the +1
-    neighbours, or one above it), so that its +1 neighbour leaves the
-    table or its -1 neighbour enters it."""
+def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6), distinct=False):
+    """A problem and a weight vector (of distinct weights if ``distinct``).
+    Half of the vectors have one player at the edge of the step table (the
+    largest losing weight of the +1 neighbours, or one above it), so that
+    its +1 neighbour leaves the table or its -1 neighbour enters it."""
     m = draw(players)
     quota = draw(st.sampled_from([F(1, 2), F(2, 3), F(37, 50), F(99, 100)]))
-    vec = draw(st.lists(weights, min_size=m, max_size=m))
+    vec = draw(st.lists(weights, min_size=m, max_size=m, unique=distinct))
     if draw(st.booleans()):
         rest = sum(vec) - vec[0]
 
@@ -365,23 +368,28 @@ def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6)):
     return InverseProblemSpec(target=target, quota_ratio=quota, norm=norm), tuple(vec)
 
 
-def check_neighbour_keys(spec, vec):
-    """Every incremental key equals the key of a fresh exact index."""
-    exact = _distance_key(spec.target, spec.norm)
+def fresh_key(spec, vec):
+    return _distance_key(spec.target, spec.norm)(shapley_shubik(WeightedVotingGame(vec, spec.quota_ratio)))
 
-    def fresh(v):
-        return exact(shapley_shubik(WeightedVotingGame(v, spec.quota_ratio)))
 
+def check_neighbour_keys(spec, vec, tables=None):
+    """Every incremental key equals the key of a fresh exact index.  With
+    ``tables``, a step stacks at most that many edited tables at a time."""
     expected = []
     for i, delta in itertools.product(range(len(vec)), (1, -1)):
         v = vec[:i] + (vec[i] + delta,) + vec[i + 1 :]
         if min(v) >= 0 and any(v):
             expected.append(v)
     keys = _NeighbourKeys(spec)
-    scored = list(keys.neighbours(vec))
+    chunk_bytes = inverse._STACK_BYTES
+    if tables is not None:
+        cap_up = spec.quota_ratio.numerator * (sum(vec) + 1) // spec.quota_ratio.denominator
+        chunk_bytes = tables * _cumulative_table(vec, cap_up + 1).nbytes
+    with mock.patch.object(inverse, "_STACK_BYTES", chunk_bytes):
+        scored = list(keys.neighbours(vec))
     assert [v for v, _ in scored] == expected
-    assert [key for _, key in scored] == [fresh(v) for v in expected]
-    assert keys.of(vec) == fresh(vec)
+    assert [key for _, key in scored] == [fresh_key(spec, v) for v in expected]
+    assert keys.of(vec) == fresh_key(spec, vec)
     assert len(keys.cache) == len(expected) + 1
 
 
@@ -391,11 +399,42 @@ class TestNeighbourKeys:
     def test_equal_fresh_index_keys(self, case):
         check_neighbour_keys(*case)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        neighbour_cases(players=st.integers(12, 20), weights=st.integers(0, 40), distinct=True),
+        st.integers(1, 4),
+    )
+    def test_equal_fresh_index_keys_across_chunks(self, case, tables):
+        # 12 or more distinct weights: each delta's tables span several chunks
+        check_neighbour_keys(*case, tables=tables)
+
     @settings(max_examples=2, deadline=None, derandomize=True)
     @given(neighbour_cases(players=st.just(66), weights=st.integers(0, 2)).filter(lambda case: any(case[1])))
     def test_equal_fresh_index_keys_object_counts(self, case):
-        # past C(m, m/2) >= 2^62 the counts are Python ints
+        # past C(m, m/2) >= 2^62 the counts are Python ints; one table per
+        # chunk makes a delta with several weights span several chunks
         check_neighbour_keys(*case)
+        check_neighbour_keys(*case, tables=1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.data())
+    def test_partially_cached_steps(self, case, data):
+        # a walk of three steps: the second finds its start cached, the third
+        # finds the start and some neighbours of the first step cached
+        spec, current = case
+        keys = _NeighbourKeys(spec)
+        keyed = []
+        numerator_key = keys.numerator_key
+        keys.numerator_key = lambda numerators: keyed.append(numerators) or numerator_key(numerators)
+        assert keys.of(current) == fresh_key(spec, current)
+        seen = {current}
+        for _ in range(3):
+            scored = list(keys.neighbours(current))
+            assert [key for _, key in scored] == [fresh_key(spec, v) for v, _ in scored]
+            seen.update(v for v, _ in scored)
+            current = data.draw(st.sampled_from([v for v, _ in scored]))
+        assert set(keys.cache) == seen
+        assert len(keyed) == len(seen)  # each vector keyed once
 
 
 class TestSolve:

@@ -28,7 +28,6 @@ from twotier.simulation import (
     _block_bounds,
     _block_pivot_counts,
     median_shock_variance,
-    ordering_match_lower_bound,
 )
 
 HALF = Fraction(1, 2)
@@ -43,7 +42,6 @@ class TestDistribution:
         assert d.ppf(0.5) == pytest.approx(0.0)
         assert d.ppf(1.0) == pytest.approx(0.5)
         assert d.variance == pytest.approx(1 / 12)
-        assert d.density_bound == pytest.approx(1.0)
 
     def test_normal_ppf(self):
         d = Distribution.normal(2.0, 3.0)
@@ -353,12 +351,3 @@ class TestOrderingMatchRate:
             for t in (1.0, 5.0, 25.0, 125.0)
         ]
         assert all(b > a for a, b in zip(rates, rates[1:]))
-
-    def test_lower_bound_holds(self):
-        fed = FederationSpec.from_sizes((1_000_000,) * 3)
-        model = PreferenceModel(cohesion=10.0)
-        bound = ordering_match_lower_bound(fed, model)
-        rate = ordering_match_rate(fed, model, 20_000, 52)
-        assert rate >= bound  # bound is deeply negative at this cohesion
-        with pytest.raises(ValueError):
-            ordering_match_lower_bound(fed, PreferenceModel(cohesion=0.0))
