@@ -36,13 +36,9 @@ from .simulation import (
     FederationSpec,
     PivotEstimate,
     PreferenceModel,
-    ReplicationOutcome,
     estimate_pivot_probabilities,
     fairness_deviation,
     ordering_match_rate,
-    pivotal_index,
-    run_replication,
-    sample_delegate_ideals,
     sample_median_brute,
     sample_median_shock,
     voter_influence,
@@ -81,13 +77,9 @@ __all__ = [
     "FederationSpec",
     "PivotEstimate",
     "PreferenceModel",
-    "ReplicationOutcome",
     "estimate_pivot_probabilities",
     "fairness_deviation",
     "ordering_match_rate",
-    "pivotal_index",
-    "run_replication",
-    "sample_delegate_ideals",
     "sample_median_brute",
     "sample_median_shock",
     "voter_influence",

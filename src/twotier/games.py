@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +32,17 @@ __all__ = [
 
 class ResourceLimitError(RuntimeError):
     """An exact computation would exceed its configured budget."""
+
+
+def _integer_at_least(name: str, value, minimum: int) -> int:
+    """``value`` as an int, or ValueError naming ``name`` when it is not an
+    integer (a bool, or a float even with an integral value) or is below
+    ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def exact_quota(value: Fraction | str | int) -> Fraction:
@@ -83,10 +95,16 @@ class WeightedVotingGame:
     def total_weight(self) -> int:
         return sum(self.weights)
 
+    @cached_property
+    def bar(self) -> int:
+        """Largest losing coalition weight, floor(quota_ratio * total_weight):
+        an integer weight wins iff it exceeds the bar."""
+        quota = self.quota_ratio
+        return quota.numerator * self.total_weight // quota.denominator
+
     def wins_weight(self, weight: int) -> bool:
         """Exact test: does a coalition of this combined weight win?"""
-        quota = self.quota_ratio
-        return weight * quota.denominator > quota.numerator * self.total_weight
+        return weight > self.bar
 
     def coalition_weight(self, members: Iterable[int]) -> int:
         weight = 0
@@ -144,12 +162,10 @@ def canonicalize(game: WeightedVotingGame, max_players: int = 20) -> CanonicalGa
     m = game.num_players
     if m > max_players:
         raise ResourceLimitError(f"canonical form enumerates 2^{m} coalitions, above the {max_players}-player cap")
-    quota = game.quota_ratio
-    bar = quota.numerator * game.total_weight // quota.denominator  # winning iff weight > bar
     subset = np.zeros(1 << m, dtype=np.int64)  # coalition weights, indexed by bitmask
     for i, w in enumerate(sorted(game.weights, reverse=True)):
         subset[1 << i : 2 << i] = subset[: 1 << i] + w
-    winning = subset > bar
+    winning = subset > game.bar
     minimal = np.zeros(1 << m, dtype=bool)
     for i in range(m):
         np.greater(winning[1 << i : 2 << i], winning[: 1 << i], out=minimal[1 << i : 2 << i])

@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .games import ResourceLimitError, WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
+from .games import _integer_at_least
 from .power import (
     _add_player,
     _check_budget,
@@ -125,14 +125,8 @@ def largest_remainder(shares: Sequence, total: int) -> list[int]:
 
 def _check_integer(owner, name: str, minimum: int) -> None:
     """Store field ``name`` of the frozen dataclass ``owner`` as an int, or
-    raise ValueError naming it when it is not an integer (a bool, or a
-    float even with an integral value) or is below ``minimum``."""
-    value = getattr(owner, name)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    object.__setattr__(owner, name, int(value))
+    raise ValueError naming it (see ``games._integer_at_least``)."""
+    object.__setattr__(owner, name, _integer_at_least(name, getattr(owner, name), minimum))
 
 
 def _check_search_parameters(owner) -> None:

@@ -123,8 +123,7 @@ def _gather_pivots(
 def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
     """Pivots by coalition size for each distinct weight of the game, from a
     table that reaches exactly the largest losing weight."""
-    cap = (game.quota_ratio.numerator * game.total_weight) // game.quota_ratio.denominator
-    table = _cumulative_table(game.weights, cap + 1)
+    table = _cumulative_table(game.weights, game.bar + 1)
     pivots = _gather_pivots(table[None], game.weights, game.quota_ratio, game.total_weight)
     return {w: counts[0] for w, counts in pivots.items()}
 

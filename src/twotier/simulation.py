@@ -20,26 +20,25 @@ sampler is kept as a test oracle.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .games import WeightedVotingGame
+from .games import WeightedVotingGame, _integer_at_least
 
 __all__ = [
     "Distribution",
     "FederationSpec",
     "PreferenceModel",
     "PivotEstimate",
-    "ReplicationOutcome",
     "sample_median_shock",
     "sample_median_brute",
-    "sample_delegate_ideals",
-    "pivotal_index",
-    "run_replication",
     "estimate_pivot_probabilities",
     "ordering_match_rate",
     "median_shock_variance",
@@ -48,8 +47,11 @@ __all__ = [
 ]
 
 # replications per RNG substream; fixed so that results do not depend on how
-# blocks are distributed across workers
+# blocks are distributed across threads
 BLOCK_SIZE = 1 << 15
+# rows per pivot-search chunk: a quarter block keeps the sort and gather
+# temporaries of each thread well below the block of positions it holds
+PIVOT_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -222,56 +224,6 @@ def median_shock_variance(population: int, dist: Distribution) -> float:
     return math.pi * dist.variance / (2.0 * n)
 
 
-def sample_delegate_ideals(
-    fed: FederationSpec, model: PreferenceModel, rng: np.random.Generator
-) -> np.ndarray:
-    """One replication of all delegate positions: per constituency, the
-    median of its voter noise plus the scaled shared shock."""
-    m = fed.num_constituencies
-    ideals = np.empty(m)
-    for i, population in enumerate(fed.populations):
-        ideals[i] = sample_median_shock(population, model.idiosyncratic, rng)
-    if model.cohesion > 0:
-        ideals += model.cohesion * model.constituency.sample(rng, m)
-    return ideals
-
-
-def pivotal_index(ideals: Sequence[float], game: WeightedVotingGame) -> int:
-    """Index of the pivotal delegate: sort positions ascending and return
-    the original index at the first spot where the cumulative weight
-    strictly exceeds the quota.  Exact float ties (probability zero in the
-    model) break toward the lower original index."""
-    values = np.asarray(ideals, dtype=np.float64)
-    if values.shape != (game.num_players,):
-        raise ValueError(f"expected {game.num_players} positions, got shape {values.shape}")
-    order = np.argsort(values, kind="stable")
-    cumulative = np.cumsum(np.asarray(game.weights, dtype=np.int64)[order])
-    quota = game.quota_ratio
-    winning = cumulative * quota.denominator > quota.numerator * game.total_weight
-    return int(order[np.argmax(winning)])
-
-
-@dataclass(frozen=True)
-class ReplicationOutcome:
-    """One assembly decision: delegate positions, who was pivotal, and the
-    adopted policy (the pivotal delegate's position)."""
-
-    ideals: tuple[float, ...]
-    pivot_index: int
-    outcome: float
-
-
-def run_replication(
-    fed: FederationSpec,
-    game: WeightedVotingGame,
-    model: PreferenceModel,
-    rng: np.random.Generator,
-) -> ReplicationOutcome:
-    ideals = sample_delegate_ideals(fed, model, rng)
-    pivot = pivotal_index(ideals, game)
-    return ReplicationOutcome(tuple(float(v) for v in ideals), pivot, float(ideals[pivot]))
-
-
 @dataclass(frozen=True)
 class PivotEstimate:
     """Estimated pivot probabilities with binomial standard errors.
@@ -298,48 +250,88 @@ class PivotEstimate:
         return tuple(Fraction(c, self.replications) for c in self.counts)
 
 
-def _block_bounds(replications: int):
-    start = 0
-    index = 0
-    while start < replications:
-        count = min(BLOCK_SIZE, replications - start)
-        yield index, count
-        start += count
-        index += 1
+def _block_bounds(replications: int) -> list[tuple[int, int]]:
+    """(block index, replication count) of every block."""
+    starts = range(0, replications, BLOCK_SIZE)
+    return [(index, min(BLOCK_SIZE, replications - start)) for index, start in enumerate(starts)]
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(replications: int, run_block) -> list:
+    """``run_block(block_index, count)`` for every block, in block order.
+
+    Blocks run on one thread per available CPU (at most one per block); the
+    numpy samplers, ``ndtri`` and ``argsort`` release the interpreter lock,
+    so the threads overlap.  One block runs inline.
+    """
+    blocks = _block_bounds(replications)
+    workers = min(_available_cpus(), len(blocks))
+    if workers == 1:
+        return [run_block(index, count) for index, count in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_block, *zip(*blocks)))
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, block_index)))
 
 
-def _block_ideals(fed, model, seed, block_index, count, with_shared=False):
-    """Delegate positions for one replication block.
+def _block_ideals(fed, model, seed, block_index, count, shared_order=False):
+    """Delegate positions for one replication block and, when asked, the
+    stable row order of the unscaled shared shocks (else None).
 
     Draw order is fixed (noise medians per constituency, then the shared
     shock matrix) so a block's content depends only on (seed, block index).
+    The positions are built in place and equal ``cohesion * shared + noise``
+    bit for bit.
     """
     rng = _block_rng(seed, block_index)
     m = fed.num_constituencies
-    noise = np.empty((count, m))
+    ideals = np.empty((count, m))
     for i, population in enumerate(fed.populations):
-        noise[:, i] = sample_median_shock(population, model.idiosyncratic, rng, count)
+        ideals[:, i] = sample_median_shock(population, model.idiosyncratic, rng, count)
+    order = None
     if model.cohesion > 0:
         shared = model.constituency.sample(rng, (count, m))
-        return model.cohesion * shared + noise, shared
-    if with_shared:
-        raise ValueError("ordering comparison needs cohesion > 0")
-    return noise, None
+        if shared_order:
+            order = np.argsort(shared, axis=1, kind="stable")
+        shared *= model.cohesion
+        ideals += shared
+    return ideals, order
+
+
+def _pivot_counts(ideals: np.ndarray, game: WeightedVotingGame) -> np.ndarray:
+    """How often each delegate is pivotal over the rows of ``ideals``
+    (replications x delegates).
+
+    A row's pivot is the original index at the first spot, in ascending
+    position order, where the cumulative weight exceeds ``game.bar``.
+    Exact float ties (probability zero in the model) break toward the
+    lower index.  Rows are taken ``PIVOT_CHUNK`` at a time so that the
+    sort and gather temporaries stay a fraction of the block.
+    """
+    weights = np.asarray(game.weights, dtype=np.int64)
+    counts = np.zeros(game.num_players, dtype=np.int64)
+    for start in range(0, len(ideals), PIVOT_CHUNK):
+        order = np.argsort(ideals[start : start + PIVOT_CHUNK], axis=1, kind="stable")
+        cumulative = np.take(weights, order)
+        np.cumsum(cumulative, axis=1, out=cumulative)
+        positions = np.argmax(cumulative > game.bar, axis=1)
+        pivots = np.take_along_axis(order, positions[:, None], axis=1)
+        counts += np.bincount(pivots[:, 0], minlength=game.num_players)
+    return counts
 
 
 def _block_pivot_counts(fed, game, model, seed, block_index, count) -> np.ndarray:
     ideals, _ = _block_ideals(fed, model, seed, block_index, count)
-    order = np.argsort(ideals, axis=1, kind="stable")
-    cumulative = np.cumsum(np.asarray(game.weights, dtype=np.int64)[order], axis=1)
-    quota = game.quota_ratio
-    winning = cumulative * quota.denominator > quota.numerator * game.total_weight
-    positions = np.argmax(winning, axis=1)
-    pivots = order[np.arange(count), positions]
-    return np.bincount(pivots, minlength=fed.num_constituencies)
+    return _pivot_counts(ideals, game)
 
 
 def estimate_pivot_probabilities(
@@ -352,21 +344,28 @@ def estimate_pivot_probabilities(
     """Estimate each delegate's pivot probability over independent
     replications.
 
-    Replications are processed in fixed-size blocks, each with its own RNG
-    substream derived from (seed, block index); accumulation is an
-    order-independent integer sum, so the estimate is identical no matter
-    how blocks are scheduled across workers.
+    Replications are processed in blocks of ``BLOCK_SIZE``, each with its
+    own RNG substream derived from (seed, block index), on one thread per
+    available CPU; each thread holds about one block of positions.  The
+    per-block counts are summed as integers, so the estimate is bit
+    identical to a serial run whatever the CPU count.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    replications = _integer_at_least("replications", replications, 1)
+    seed = _integer_at_least("seed", seed, 0)
     if game.num_players != fed.num_constituencies:
         raise ValueError("game and federation must have matching sizes")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    counts = np.zeros(fed.num_constituencies, dtype=np.int64)
-    for block_index, count in _block_bounds(replications):
-        counts += _block_pivot_counts(fed, game, model, seed, block_index, count)
+    counts = np.sum(_map_blocks(replications, partial(_block_pivot_counts, fed, game, model, seed)), axis=0)
     return PivotEstimate(tuple(int(c) for c in counts), replications, seed)
+
+
+def _block_ordering_matches(fed, model, seed, block_index, count) -> int:
+    ideals, shared_order = _block_ideals(fed, model, seed, block_index, count, shared_order=True)
+    matches = 0
+    for start in range(0, count, PIVOT_CHUNK):
+        rows = slice(start, start + PIVOT_CHUNK)
+        same = np.argsort(ideals[rows], axis=1, kind="stable") == shared_order[rows]
+        matches += int(same.all(axis=1).sum())
+    return matches
 
 
 def ordering_match_rate(
@@ -375,17 +374,13 @@ def ordering_match_rate(
     """Fraction of replications in which the delegates' position order
     equals the order of the underlying shared shocks.  Requires positive
     cohesion (at zero the shared shocks play no role and the comparison is
-    meaningless)."""
+    meaningless).  Blocks, substreams and threads are as in
+    ``estimate_pivot_probabilities``, and so is the bit-identical result."""
     if model.cohesion <= 0:
         raise ValueError("ordering_match_rate requires cohesion > 0")
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    matches = 0
-    for block_index, count in _block_bounds(replications):
-        ideals, shared = _block_ideals(fed, model, seed, block_index, count, with_shared=True)
-        same = np.argsort(ideals, axis=1, kind="stable") == np.argsort(shared, axis=1, kind="stable")
-        matches += int(same.all(axis=1).sum())
-    return matches / replications
+    replications = _integer_at_least("replications", replications, 1)
+    seed = _integer_at_least("seed", seed, 0)
+    return sum(_map_blocks(replications, partial(_block_ordering_matches, fed, model, seed))) / replications
 
 
 def _pivot_values(pi) -> list:

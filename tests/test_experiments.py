@@ -16,6 +16,7 @@ from twotier import (
     shapley_shubik,
     write_federation,
 )
+from twotier import simulation
 from twotier.cli import main
 from twotier.experiments import games_path_for
 
@@ -215,6 +216,16 @@ class TestRunExperiment:
         run_experiment(config)
         assert (tmp_path / "out.csv").read_bytes() == first
         assert games_path_for(config.output_path).read_bytes() == first_games
+
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        replications = 2 * simulation.BLOCK_SIZE + 100
+        config = self.small_config(tmp_path, replications=replications, rules=("proportional", "square_root"))
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+            run_experiment(config)
+            outputs.append(((tmp_path / "out.csv").read_bytes(), games_path_for(config.output_path).read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_single_constituency_zero_deviation(self, tmp_path):
         fed_path = make_federation_csv(tmp_path / "solo.csv", ["Only,500"])

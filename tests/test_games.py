@@ -1,5 +1,6 @@
 """Game representation, exact quota arithmetic, canonical forms, enumeration."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -108,6 +109,15 @@ class TestIsWinning:
     def test_weight_exactly_at_quota_loses(self):
         game = WeightedVotingGame((40, 25, 25, 10), HALF)
         assert not game.is_winning({0, 3})  # weight 50 is not strictly above 50
+
+    @PROPERTY
+    @given(games())
+    def test_bar_is_largest_losing_weight(self, game):
+        threshold = game.quota_ratio * game.total_weight
+        assert game.bar == math.floor(threshold)
+        assert [game.wins_weight(w) for w in range(game.total_weight + 1)] == [
+            w > threshold for w in range(game.total_weight + 1)
+        ]
 
     def test_member_iterables(self):
         game = WeightedVotingGame((42, 25, 24, 9), HALF)

@@ -1,10 +1,14 @@
 """Median-voter Monte Carlo: samplers, pivot estimation, fairness measures."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from twotier import (
@@ -16,17 +20,17 @@ from twotier import (
     estimate_pivot_probabilities,
     fairness_deviation,
     ordering_match_rate,
-    pivotal_index,
-    run_replication,
-    sample_delegate_ideals,
     sample_median_brute,
     sample_median_shock,
     shapley_shubik,
     voter_influence,
 )
+from twotier import simulation
 from twotier.simulation import (
+    BLOCK_SIZE,
     _block_bounds,
     _block_pivot_counts,
+    _pivot_counts,
     median_shock_variance,
 )
 
@@ -159,37 +163,71 @@ class TestFederationAndModel:
         assert model.constituency == Distribution.normal(0.0, 1e-4)
 
 
+def pivot(ideals, game):
+    """The delegate the pivot kernel credits for one replication."""
+    (index,) = np.flatnonzero(_pivot_counts(np.array([ideals], dtype=np.float64), game))
+    return int(index)
+
+
+def stable_order(row):
+    return sorted(range(len(row)), key=lambda i: (row[i], i))
+
+
+def fraction_pivot(row, game):
+    """Pivot by definition: the first delegate, in (position, index) order,
+    whose arrival lifts the coalition's weight above q * T."""
+    threshold = game.quota_ratio * game.total_weight
+    running = 0
+    for i in stable_order(row):
+        running += game.weights[i]
+        if running > threshold:
+            return i
+
+
+@st.composite
+def pivot_cases(draw):
+    """Games with zero weights, rows of positions with ties, and half the
+    time a quota at which a prefix of the first row weighs exactly q * T."""
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any))
+    position = st.sampled_from([-1.0, 0.0, 0.25, 2.0])  # few values, so ties are common
+    rows = draw(st.lists(st.lists(position, min_size=m, max_size=m), min_size=1, max_size=30))
+    prefix = stable_order(rows[0])[: draw(st.integers(0, m))]
+    at_quota = Fraction(sum(weights[i] for i in prefix), sum(weights))
+    if draw(st.booleans()) and HALF <= at_quota < 1:
+        quota = at_quota
+    else:
+        quota = Fraction(draw(st.integers(50, 99)), 100)
+    return WeightedVotingGame(tuple(weights), quota), rows
+
+
 class TestPivotalIndex:
     GAME_EQUAL = WeightedVotingGame((1, 1, 1), HALF)
 
     def test_unweighted_median(self):
-        assert pivotal_index((0.3, -0.2, 0.5), self.GAME_EQUAL) == 0
+        assert pivot((0.3, -0.2, 0.5), self.GAME_EQUAL) == 0
 
     def test_weight_on_last(self):
         game = WeightedVotingGame((1, 1, 3), HALF)
-        assert pivotal_index((0.3, -0.2, 0.5), game) == 2
+        assert pivot((0.3, -0.2, 0.5), game) == 2
 
     def test_weight_on_first(self):
         game = WeightedVotingGame((3, 1, 1), HALF)
-        assert pivotal_index((0.3, -0.2, 0.5), game) == 0
+        assert pivot((0.3, -0.2, 0.5), game) == 0
 
     def test_tie_breaks_to_lower_index(self):
-        assert pivotal_index((0.5, 0.5, 0.1), self.GAME_EQUAL) == 0
+        assert pivot((0.5, 0.5, 0.1), self.GAME_EQUAL) == 0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pivotal_index((0.1, 0.2), self.GAME_EQUAL)
-
-    def test_replication_outcome(self):
-        fed = FederationSpec.from_sizes((101, 51, 11))
-        outcome = run_replication(fed, self.GAME_EQUAL, PreferenceModel(), np.random.default_rng(38))
-        assert outcome.outcome == outcome.ideals[outcome.pivot_index]
-        assert len(outcome.ideals) == 3
-
-    def test_delegate_ideals_shape(self):
-        fed = FederationSpec.from_sizes((100, 200))
-        ideals = sample_delegate_ideals(fed, PreferenceModel(cohesion=2.0), np.random.default_rng(39))
-        assert ideals.shape == (2,)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pivot_cases(), st.integers(1, 8))
+    @example((WeightedVotingGame((1, 0, 1, 1, 1), HALF), [[0.0, 0.0, 0.25, 0.0, -1.0]] * 5), 2)
+    def test_chunked_kernel_matches_fraction_oracle(self, case, chunk):
+        game, rows = case
+        expected = [fraction_pivot(row, game) for row in rows]
+        assert [pivot(row, game) for row in rows] == expected
+        with patch.object(simulation, "PIVOT_CHUNK", chunk):
+            counts = _pivot_counts(np.array(rows), game)
+        assert counts.tolist() == np.bincount(expected, minlength=game.num_players).tolist()
 
 
 class TestEstimate:
@@ -239,11 +277,57 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_pivot_probabilities(fed, WeightedVotingGame((1, 1), HALF), PreferenceModel(), 0, 0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("replications", True), ("replications", 2.5), ("replications", 0), ("seed", True), ("seed", 1.5), ("seed", -1)],
+    )
+    def test_rejects_bad_integers(self, name, value):
+        fed = FederationSpec.from_sizes((10, 10))
+        model = PreferenceModel(cohesion=1.0)
+        arguments = {"replications": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            estimate_pivot_probabilities(fed, WeightedVotingGame((1, 1), HALF), model, **arguments)
+        with pytest.raises(ValueError, match=name):
+            ordering_match_rate(fed, model, **arguments)
+
     def test_single_constituency_always_pivotal(self):
         fed = FederationSpec.from_sizes((701,))
         game = WeightedVotingGame((5,), HALF)
         estimate = estimate_pivot_probabilities(fed, game, PreferenceModel(), 1000, 44)
         assert estimate.counts == (1000,)
+
+
+class TestBlockThreads:
+    FED = FederationSpec.from_sizes((1001, 500, 301, 77))
+    GAME = WeightedVotingGame((4, 3, 2, 1), Fraction(3, 5))
+    MODEL = PreferenceModel(cohesion=100.0)
+
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch):
+        replications = 5 * BLOCK_SIZE + 1000
+        results = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+            results.append(
+                (
+                    estimate_pivot_probabilities(self.FED, self.GAME, self.MODEL, replications, 52),
+                    ordering_match_rate(self.FED, self.MODEL, replications, 53),
+                )
+            )
+        assert results[0] == results[1]
+
+    def test_one_thread_per_cpu_and_none_for_one_block(self, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 3)
+        for replications in (BLOCK_SIZE, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE + 1):
+            estimate_pivot_probabilities(self.FED, self.GAME, self.MODEL, replications, 54)
+        assert sizes == [2, 3]
 
 
 class TestConvergenceToPowerIndex:
