@@ -89,10 +89,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    raw = parse_key_values(args.config)
-    for key in ("federation", "game", "t", "replications", "seed"):
-        if key not in raw:
-            raise ValueError(f"{args.config}: missing required config key {key!r}")
+    raw = parse_key_values(args.config, required=("federation", "game", "t", "replications", "seed"))
     fed = load_federation(raw["federation"])
     game = WeightedVotingGame.from_text(raw["game"])
     model = PreferenceModel(cohesion=float(raw["t"]))

@@ -181,15 +181,17 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse a ``key = value`` config file (# starts a comment).
 
-        Keys: federation, quota, t_grid, replications, seed, rules,
-        weight_total, solver_bound, solver_restarts, solver_max_steps,
-        solver_method, output.
+        Required keys: federation, quota, t_grid, replications, seed.
+        Optional keys: rules, weight_total, solver_bound, solver_restarts,
+        solver_max_steps, solver_seed (defaults to seed), solver_method,
+        output.  Any other key is an error.
         """
-        raw = parse_key_values(path)
-        required = ("federation", "quota", "t_grid", "replications", "seed")
-        for key in required:
-            if key not in raw:
-                raise ValueError(f"{path}: missing required config key {key!r}")
+        raw = parse_key_values(
+            path,
+            required=("federation", "quota", "t_grid", "replications", "seed"),
+            optional=("rules", "weight_total", "solver_bound", "solver_restarts", "solver_max_steps", "solver_seed",
+                      "solver_method", "output"),
+        )
         solver = InverseSolverOptions(
             weight_sum_bound=int(raw.get("solver_bound", 100)),
             restarts=int(raw.get("solver_restarts", 25)),
@@ -213,8 +215,10 @@ class ExperimentConfig:
         )
 
 
-def parse_key_values(path) -> dict[str, str]:
-    """Read ``key = value`` lines; ``#`` starts a comment."""
+def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = ()) -> dict[str, str]:
+    """Read ``key = value`` lines; ``#`` starts a comment.  Every key in
+    ``required`` must appear, and no key outside ``required`` and
+    ``optional`` may."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -224,7 +228,13 @@ def parse_key_values(path) -> dict[str, str]:
             key, sep, value = text.partition("=")
             if not sep:
                 raise ValueError(f"{path} line {line_no}: expected 'key = value', got {line.rstrip()!r}")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in required and key not in optional:
+                raise ValueError(f"{path} line {line_no}: unknown config key {key!r}")
+            values[key] = value.strip()
+    for key in required:
+        if key not in values:
+            raise ValueError(f"{path}: missing required config key {key!r}")
     return values
 
 

@@ -9,7 +9,6 @@ loses, and no floating-point rounding can flip such knife-edge cases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,15 +29,22 @@ __all__ = [
 ]
 
 
+# players above which canonical forms (2^m coalitions) are refused
+_CANONICAL_MAX_PLAYERS = 20
+# grid points, (weight_bound + 1)^m, above which enumeration is refused
+_ENUMERATION_GRID_LIMIT = 20_000_000
+
+
 class ResourceLimitError(RuntimeError):
-    """An exact computation would exceed its configured budget."""
+    """An exact computation would exceed its fixed resource limit."""
 
 
 def _integer_at_least(name: str, value, minimum: int) -> int:
     """``value`` as an int, or ValueError naming ``name`` when it is not an
     integer (a bool, or a float even with an integral value) or is below
     ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # the exact-type test first: the Integral check is slow, and games are built per scanned vector
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
@@ -77,11 +83,9 @@ class WeightedVotingGame:
     quota_ratio: Fraction = field(default=Fraction(1, 2))
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(_integer_at_least("weight", w, 0) for w in self.weights)
         if len(weights) < 1:
             raise ValueError("a game needs at least one player")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
         if not any(weights):
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "weights", weights)
@@ -150,7 +154,7 @@ class CanonicalGameSignature:
     minimal_winning: tuple[int, ...]
 
 
-def canonicalize(game: WeightedVotingGame, max_players: int = 20) -> CanonicalGameSignature:
+def canonicalize(game: WeightedVotingGame) -> CanonicalGameSignature:
     """Canonical signature of a game, invariant under player permutation
     and under scaling all weights by a positive integer.
 
@@ -160,8 +164,10 @@ def canonicalize(game: WeightedVotingGame, max_players: int = 20) -> CanonicalGa
     member leaves the most weight of any single removal.
     """
     m = game.num_players
-    if m > max_players:
-        raise ResourceLimitError(f"canonical form enumerates 2^{m} coalitions, above the {max_players}-player cap")
+    if m > _CANONICAL_MAX_PLAYERS:
+        raise ResourceLimitError(
+            f"canonical form enumerates 2^{m} coalitions, above the {_CANONICAL_MAX_PLAYERS}-player cap"
+        )
     subset = np.zeros(1 << m, dtype=np.int64)  # coalition weights, indexed by bitmask
     for i, w in enumerate(sorted(game.weights, reverse=True)):
         subset[1 << i : 2 << i] = subset[: 1 << i] + w
@@ -195,40 +201,41 @@ class GameClassEnumeration:
         return tuple(cls.representative for cls in self.classes)
 
 
-def enumerate_game_classes(
-    num_players: int,
-    quota: Fraction | str | int,
-    weight_bound: int,
-    budget: int = 20_000_000,
-) -> GameClassEnumeration:
+def _descending_partitions(total: int, parts: int, cap: int):
+    """Non-increasing tuples of ``parts`` non-negative ints summing to
+    ``total``, each at most ``cap``, in lexicographically ascending order."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(-(-total // parts), min(total, cap) + 1):  # the first part is at least its share
+        for rest in _descending_partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def enumerate_game_classes(num_players: int, quota: Fraction | str | int, weight_bound: int) -> GameClassEnumeration:
     """Enumerate structurally distinct games with weights in {0..weight_bound}.
 
     Every weight vector with entries up to the bound (and at least one
     positive entry) is canonicalized; the grid has (weight_bound+1)^m
-    points, guarded by ``budget``.  Only non-increasing vectors are visited
-    since the signature is permutation invariant.  Each class reports the
-    representative minimizing (weight sum, lexicographic order).
+    points, refused above ``_ENUMERATION_GRID_LIMIT``.  Only non-increasing
+    vectors are visited, since the signature is permutation invariant, and
+    they are visited in (weight sum, lexicographic) order, so the first
+    vector of each class is its representative and the classes come in the
+    order of their representatives.
     """
     if num_players < 1:
         raise ValueError("need at least one player")
     if weight_bound < 1:
         raise ValueError("weight bound must be positive")
     quota = exact_quota(quota)
-    if (weight_bound + 1) ** num_players > budget:
-        raise ResourceLimitError(
-            f"grid of {(weight_bound + 1) ** num_players} weight vectors exceeds budget {budget}"
-        )
+    grid = (weight_bound + 1) ** num_players
+    if grid > _ENUMERATION_GRID_LIMIT:
+        raise ResourceLimitError(f"grid of {grid} weight vectors exceeds the limit {_ENUMERATION_GRID_LIMIT}")
 
-    best_rep: dict[CanonicalGameSignature, tuple[int, ...]] = {}
-    for vec in itertools.combinations_with_replacement(range(weight_bound, -1, -1), num_players):
-        if vec[0] == 0:
-            continue
-        signature = canonicalize(WeightedVotingGame(vec, quota))
-        current = best_rep.get(signature)
-        if current is None or (sum(vec), vec) < (sum(current), current):
-            best_rep[signature] = vec
-    classes = tuple(
-        GameClass(sig, rep)
-        for sig, rep in sorted(best_rep.items(), key=lambda kv: (sum(kv[1]), kv[1]))
-    )
+    representatives: dict[CanonicalGameSignature, tuple[int, ...]] = {}
+    for total in range(1, num_players * weight_bound + 1):
+        for vec in _descending_partitions(total, num_players, weight_bound):
+            representatives.setdefault(canonicalize(WeightedVotingGame(vec, quota)), vec)
+    classes = tuple(GameClass(sig, rep) for sig, rep in representatives.items())
     return GameClassEnumeration(num_players, quota, weight_bound, classes)

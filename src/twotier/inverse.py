@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .games import ResourceLimitError, WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
-from .games import _integer_at_least
+from .games import _descending_partitions, _integer_at_least
 from .power import (
     _add_player,
     _check_budget,
@@ -47,6 +47,11 @@ __all__ = [
 
 _NORMS = ("l1", "l2", "linf")
 SOLVER_METHODS = ("auto", "exhaustive", "local")
+# players up to which exhaustive search runs and class representatives seed
+# local search
+_EXHAUSTIVE_MAX_PLAYERS = 6
+# weight vectors, C(weight_sum_bound + m, m), above which exhaustive search is refused
+_EXHAUSTIVE_GRID_LIMIT = 10_000_000
 
 
 def _norm_name(norm: str) -> str:
@@ -90,14 +95,6 @@ def _numerator_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[
         return max(diffs)
 
     return key
-
-
-def _distance_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[Fraction]], int]:
-    """``_numerator_key`` for index vectors: every index value is a
-    multiple of 1/m!."""
-    numerator_key = _numerator_key(target, norm)
-    m_fact = math.factorial(len(target))
-    return lambda values: numerator_key([v.numerator * (m_fact // v.denominator) for v in values])
 
 
 def largest_remainder(shares: Sequence, total: int) -> list[int]:
@@ -206,20 +203,6 @@ class InverseSolution:
             raise ValueError("only exhaustive search may certify optimality")
 
 
-def _descending_partitions(total: int, parts: int, cap: int | None = None):
-    """Non-increasing tuples of ``parts`` non-negative ints summing to
-    ``total``, in lexicographically ascending order."""
-    if parts == 1:
-        if cap is None or total <= cap:
-            yield (total,)
-        return
-    first_min = -(-total // parts)  # ceil: first part carries at least its share
-    first_max = total if cap is None else min(total, cap)
-    for first in range(first_min, first_max + 1):
-        for rest in _descending_partitions(total - first, parts - 1, first):
-            yield (first, *rest)
-
-
 def _target_order(target: Sequence[Fraction]) -> list[int]:
     """Positions sorted by descending target share (stable)."""
     return sorted(range(len(target)), key=lambda i: (-target[i], i))
@@ -235,55 +218,62 @@ def _align_to_target(sorted_weights: Sequence[int], target: Sequence[Fraction]) 
     return tuple(out)
 
 
-def solve_exhaustive(spec: InverseProblemSpec, budget: int = 10_000_000) -> InverseSolution:
+def _solution(
+    spec: InverseProblemSpec, weights: tuple[int, ...], method: str, steps: int, restarts_used: int, evaluations: int
+) -> InverseSolution:
+    """The solution with ``weights``: its game, exact index and distance.
+    Only exhaustive search certifies optimality."""
+    game = WeightedVotingGame(weights, spec.quota_ratio)
+    ssi = shapley_shubik(game)
+    return InverseSolution(
+        problem=spec,
+        game=game,
+        ssi=ssi,
+        distance=distance(ssi, spec.target, spec.norm),
+        method=method,
+        steps=steps,
+        restarts_used=restarts_used,
+        optimality_certified=method == "exhaustive",
+        evaluations=evaluations,
+    )
+
+
+def solve_exhaustive(spec: InverseProblemSpec) -> InverseSolution:
     """Certified optimum over all weight vectors with sum <= weight_sum_bound.
 
     Only canonical classes are evaluated (one exact index computation per
-    class); the representative realizing the optimum follows the tie-break
-    (smaller weight sum, then lexicographically smallest sorted vector),
-    which the (sum, lex) scan order yields for free.
+    class, on the class's first vector aligned to the target); the
+    representative realizing the optimum follows the tie-break (smaller
+    weight sum, then lexicographically smallest sorted vector), which the
+    (sum, lex) scan order yields for free.
     """
     m = spec.num_players
-    if m > 6:
-        raise ValueError(f"exhaustive search is limited to 6 players, got {m}")
+    if m > _EXHAUSTIVE_MAX_PLAYERS:
+        raise ValueError(f"exhaustive search is limited to {_EXHAUSTIVE_MAX_PLAYERS} players, got {m}")
     grid_size = math.comb(spec.weight_sum_bound + m, m)
-    if grid_size > budget:
+    if grid_size > _EXHAUSTIVE_GRID_LIMIT:
         raise ResourceLimitError(
-            f"grid of {grid_size} weight vectors exceeds budget {budget}; lower weight_sum_bound"
+            f"grid of {grid_size} weight vectors exceeds the limit {_EXHAUSTIVE_GRID_LIMIT}; lower weight_sum_bound"
         )
 
-    distance_key = _distance_key(sorted(spec.target, reverse=True), spec.norm)
+    keys = _NeighbourKeys(spec)
     seen: set = set()
     best_key: int | None = None
     best_vec: tuple[int, ...] | None = None
     scanned = 0
     for total in range(1, spec.weight_sum_bound + 1):
-        for vec in _descending_partitions(total, m):
+        for vec in _descending_partitions(total, m, total):
             scanned += 1
-            game = WeightedVotingGame(vec, spec.quota_ratio)
-            signature = canonicalize(game)
+            signature = canonicalize(WeightedVotingGame(vec, spec.quota_ratio))
             if signature in seen:
                 continue
             seen.add(signature)
-            key = distance_key(shapley_shubik(game))
+            aligned = _align_to_target(vec, spec.target)
+            key = keys.of(aligned)
             if best_key is None or key < best_key:
                 best_key = key
-                best_vec = vec
-
-    final_weights = _align_to_target(best_vec, spec.target)
-    final_game = WeightedVotingGame(final_weights, spec.quota_ratio)
-    ssi = shapley_shubik(final_game)
-    return InverseSolution(
-        problem=spec,
-        game=final_game,
-        ssi=ssi,
-        distance=distance(ssi, spec.target, spec.norm),
-        method="exhaustive",
-        steps=scanned,
-        restarts_used=0,
-        optimality_certified=True,
-        evaluations=len(seen),
-    )
+                best_vec = aligned
+    return _solution(spec, best_vec, "exhaustive", scanned, 0, len(seen))
 
 
 @lru_cache(maxsize=64)
@@ -303,7 +293,7 @@ def _initial_points(spec: InverseProblemSpec) -> Iterable[tuple[int, ...]]:
     in target order."""
     yield tuple(largest_remainder(spec.target, spec.weight_sum_bound))
     m = spec.num_players
-    if m <= 6:
+    if m <= _EXHAUSTIVE_MAX_PLAYERS:
         for rep in _seed_class_representatives(m, spec.quota_ratio):
             yield _align_to_target(rep, spec.target)
     rng = np.random.default_rng(spec.seed)
@@ -320,8 +310,7 @@ _STACK_BYTES = 1 << 19
 
 class _NeighbourKeys:
     """Exact distance keys of weight vectors for one inverse problem,
-    cached by vector, each equal to
-    ``_distance_key(target, norm)(shapley_shubik(game))``.
+    cached by vector: ``_numerator_key`` of the game's index numerators.
 
     A descent step scores its uncached +-1 neighbours together.  The
     neighbours that change a player of weight u by delta have the same
@@ -437,19 +426,7 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
             best_key = current_key
             best_vec = current
 
-    final_game = WeightedVotingGame(best_vec, spec.quota_ratio)
-    ssi = shapley_shubik(final_game)
-    return InverseSolution(
-        problem=spec,
-        game=final_game,
-        ssi=ssi,
-        distance=distance(ssi, spec.target, spec.norm),
-        method="local_search",
-        steps=total_steps,
-        restarts_used=restarts_used,
-        optimality_certified=False,
-        evaluations=len(keys.cache),
-    )
+    return _solution(spec, best_vec, "local_search", total_steps, restarts_used, len(keys.cache))
 
 
 def solve(
@@ -459,8 +436,8 @@ def solve(
     local_search: Callable[[InverseProblemSpec], InverseSolution] | None = None,
 ) -> InverseSolution:
     """Solve the inverse problem with ``method``: "exhaustive", "local", or
-    "auto", which takes exhaustive search (certified) up to 6 players and
-    local search beyond.
+    "auto", which takes exhaustive search (certified) up to
+    ``_EXHAUSTIVE_MAX_PLAYERS`` (6) players and local search beyond.
 
     ``local_search`` stands in for ``solve_local_search``: a caller passes
     its own module's binding so that a wrapper installed on that binding
@@ -469,7 +446,7 @@ def solve(
     if method not in SOLVER_METHODS:
         raise ValueError(f"unknown solver method {method!r}; supported: {SOLVER_METHODS}")
     if method == "auto":
-        method = "exhaustive" if spec.num_players <= 6 else "local"
+        method = "exhaustive" if spec.num_players <= _EXHAUSTIVE_MAX_PLAYERS else "local"
     if method == "exhaustive":
         return solve_exhaustive(spec)
     return (local_search or solve_local_search)(spec)

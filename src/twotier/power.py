@@ -137,15 +137,15 @@ def _pivot_orderings(num_players: int) -> list[int]:
     return [fact[s] * fact[num_players - 1 - s] for s in range(num_players)]
 
 
-def _check_budget(num_players: int, total_weight: int, budget: int = DEFAULT_DP_BUDGET) -> None:
+def _check_budget(num_players: int, total_weight: int) -> None:
     cost = num_players * total_weight
-    if cost > budget:
+    if cost > DEFAULT_DP_BUDGET:
         raise ResourceLimitError(
-            f"num_players * total_weight = {cost} exceeds budget {budget}"
+            f"num_players * total_weight = {cost} exceeds budget {DEFAULT_DP_BUDGET}"
         )
 
 
-def shapley_shubik(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET) -> tuple[Fraction, ...]:
+def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     """Exact Shapley-Shubik index via dynamic programming.
 
     Player i's value is the number of orderings in which i's arrival turns
@@ -153,7 +153,7 @@ def shapley_shubik(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET)
     (size, weight) are weighted with |S|! * (m-|S|-1)! / m! in exact rational
     arithmetic, so the result carries no floating-point error.
     """
-    _check_budget(game.num_players, game.total_weight, budget)
+    _check_budget(game.num_players, game.total_weight)
     coeff = _pivot_orderings(game.num_players)
     m_fact = math.factorial(game.num_players)
     values = {
@@ -187,10 +187,10 @@ def shapley_permutation_oracle(game: WeightedVotingGame) -> tuple[Fraction, ...]
     return tuple(Fraction(c, m_fact) for c in counts)
 
 
-def banzhaf(game: WeightedVotingGame, *, budget: int = DEFAULT_DP_BUDGET) -> tuple[Fraction, ...]:
+def banzhaf(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     """Raw Banzhaf measure: P(player i is critical) when every other player
     joins independently with probability 1/2.  Not normalized."""
-    _check_budget(game.num_players, game.total_weight, budget)
+    _check_budget(game.num_players, game.total_weight)
     m = game.num_players
     denominator = 2 ** (m - 1)
     # summed as Python ints: a player's swings reach 2^(m-1), past int64 at m = 65

@@ -122,13 +122,11 @@ class FederationSpec:
 
     def __post_init__(self) -> None:
         names = tuple(str(n) for n in self.names)
-        populations = tuple(int(p) for p in self.populations)
+        populations = tuple(_integer_at_least("population", p, 1) for p in self.populations)
         if len(names) != len(populations):
             raise ValueError("names and populations must have equal length")
         if len(populations) < 1:
             raise ValueError("a federation needs at least one constituency")
-        if any(p < 1 for p in populations):
-            raise ValueError("every population must be at least 1")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "populations", populations)
 
@@ -204,7 +202,10 @@ def sample_median_brute(population: int, dist: Distribution, rng: np.random.Gene
 
 
 def median_shock_variance(population: int, dist: Distribution) -> float:
-    """Variance of the sample median of ``population`` draws.
+    """Variance of the sample median of ``population`` draws: the model's
+    formula for the spread of a constituency's median shock, which the
+    tests check against draws of the Beta identity in
+    ``sample_median_shock``.
 
     Exact (from Beta order-statistic moments) for uniform distributions;
     the large-sample expression pi * sigma^2 / (2n) for normal ones.

@@ -122,6 +122,23 @@ class TestExperimentConfig:
         assert config.rules == ("proportional", "shapley_inverse")
         assert config.solver.weight_sum_bound == 40
 
+    def test_solver_seed_defaults_to_seed(self, tmp_path):
+        base = "federation = f.csv\nquota = 1/2\nt_grid = 1\nreplications = 10\nseed = 9\n"
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(base)
+        assert ExperimentConfig.from_file(config_path).solver.seed == 9
+        config_path.write_text(base + "solver_seed = 4\n")
+        config = ExperimentConfig.from_file(config_path)
+        assert (config.seed, config.solver.seed) == (9, 4)
+
+    def test_unknown_key(self, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            "federation = f.csv\nquota = 1/2\nt_grid = 1\nreplications = 10\nseed = 9\nsolver_bund = 500\n"
+        )
+        with pytest.raises(ValueError, match=r"exp\.cfg line 6: unknown config key 'solver_bund'"):
+            ExperimentConfig.from_file(config_path)
+
     def test_missing_key(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text("federation = x.csv\n")
@@ -287,6 +304,13 @@ class TestCli:
         assert main(["simulate", str(config)]) == 0
         out = capsys.readouterr().out
         assert "fairness deviation" in out
+
+    def test_simulate_unknown_key(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_text("federation = f.csv\ngame = 1/2; 2,1,1\nt = 5\nreplications = 20\nseed = 3\nrules = x\n")
+        assert main(["simulate", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "sim.cfg line 6: unknown config key 'rules'" in err
 
     def test_experiment(self, tmp_path, capsys):
         fed_path = make_federation_csv(tmp_path / "fed.csv", ["A,400", "B,300", "C,300"])

@@ -1,5 +1,6 @@
 """Game representation, exact quota arithmetic, canonical forms, enumeration."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -73,6 +74,16 @@ class TestConstruction:
             WeightedVotingGame((1, -1), HALF)
         with pytest.raises(ValueError):
             WeightedVotingGame((0, 0, 0), HALF)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), True, "2"])
+    def test_rejects_non_integer_weights(self, bad):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            WeightedVotingGame((3, bad), HALF)
+
+    def test_accepts_numpy_integer_weights(self):
+        game = WeightedVotingGame(tuple(np.array([3, 2, 0])), HALF)
+        assert game.weights == (3, 2, 0)
+        assert all(type(w) is int for w in game.weights)
 
     def test_quota_range(self):
         with pytest.raises(ValueError):
@@ -202,9 +213,9 @@ class TestCanonicalize:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16  # the 2^21 coalition weights alone would take 16 MiB
-        with pytest.raises(ResourceLimitError):
-            canonicalize(WeightedVotingGame((1, 1, 1, 1), HALF), max_players=3)
-        assert canonicalize(WeightedVotingGame((1, 1, 1, 1), HALF), max_players=4).minimal_winning == (7, 11, 13, 14)
+        assert canonicalize(WeightedVotingGame((1, 1, 1, 1), HALF)).minimal_winning == (7, 11, 13, 14)
+        # 20 players, at the cap, still run: the 11-member coalitions are minimal
+        assert len(canonicalize(WeightedVotingGame((1,) * 20, HALF)).minimal_winning) == math.comb(20, 11)
 
 
 class TestEnumeration:
@@ -233,7 +244,22 @@ class TestEnumeration:
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_game_classes(10, HALF, 20, budget=1000)
+            enumerate_game_classes(10, HALF, 20)  # 21^10 grid points, past the 2 * 10^7 limit
+
+    @pytest.mark.parametrize("quota", [HALF, Fraction(2, 3), Fraction(37, 50)])
+    @pytest.mark.parametrize("players, bound", list(itertools.product(range(1, 5), range(1, 5))))
+    def test_matches_brute_force_reference(self, players, bound, quota):
+        # every vector of the grid, in any order: each class keeps its
+        # (sum, lex)-minimal sorted vector, and classes come in that order
+        best = {}
+        for vec in itertools.product(range(bound + 1), repeat=players):
+            if any(vec):
+                rep = tuple(sorted(vec, reverse=True))
+                signature = canonicalize(WeightedVotingGame(vec, quota))
+                best[signature] = min(best.get(signature, rep), rep, key=lambda v: (sum(v), v))
+        expected = sorted(best.items(), key=lambda item: (sum(item[1]), item[1]))
+        enum = enumerate_game_classes(players, quota, bound)
+        assert [(c.signature, c.representative) for c in enum.classes] == expected
 
     def test_representative_is_minimal(self):
         enum = enumerate_game_classes(3, HALF, 6)

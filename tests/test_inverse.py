@@ -27,7 +27,7 @@ from twotier import (
     solve_local_search,
 )
 from twotier import inverse
-from twotier.inverse import _distance_key, _NeighbourKeys
+from twotier.inverse import _NeighbourKeys, _numerator_key
 from twotier.power import _cumulative_table
 
 HALF = Fraction(1, 2)
@@ -81,14 +81,20 @@ def key_cases(draw):
     return target, [Fraction(v, unit) for v in first], [Fraction(v, unit) for v in second]
 
 
+def numerators(values):
+    """Index values (multiples of 1/m!) times m!."""
+    m_fact = math.factorial(len(values))
+    return [v.numerator * (m_fact // v.denominator) for v in values]
+
+
 class TestDistanceKey:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(key_cases(), st.sampled_from(["l1", "l2", "linf"]))
     def test_orders_as_rational_distance(self, case, norm):
         target, first, second = case
-        key = _distance_key(target, norm)
+        key = _numerator_key(target, norm)
         exact = fraction_key(first, target, norm) - fraction_key(second, target, norm)
-        scaled = key(first) - key(second)
+        scaled = key(numerators(first)) - key(numerators(second))
         assert (scaled > 0, scaled == 0) == (exact > 0, exact == 0)
 
 
@@ -369,7 +375,7 @@ def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6), 
 
 
 def fresh_key(spec, vec):
-    return _distance_key(spec.target, spec.norm)(shapley_shubik(WeightedVotingGame(vec, spec.quota_ratio)))
+    return _numerator_key(spec.target, spec.norm)(numerators(shapley_shubik(WeightedVotingGame(vec, spec.quota_ratio))))
 
 
 def check_neighbour_keys(spec, vec, tables=None):

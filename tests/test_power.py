@@ -92,9 +92,12 @@ class TestShapleyShubik:
             assert shapley_shubik(game) == shapley_shubik(scaled)
 
     def test_budget_guard(self):
-        game = WeightedVotingGame((1000, 1000, 1000), HALF)
+        # 3 players of total weight 3 * 10^6: past the 2 * 10^6 DP budget
+        game = WeightedVotingGame((1_000_000,) * 3, HALF)
         with pytest.raises(ResourceLimitError):
-            shapley_shubik(game, budget=100)
+            shapley_shubik(game)
+        with pytest.raises(ResourceLimitError):
+            banzhaf(game)
 
     def test_large_game_runs(self):
         # EU-scale input: 28 players, weight sum in the hundreds

@@ -143,6 +143,16 @@ class TestFederationAndModel:
         with pytest.raises(ValueError):
             FederationSpec((), ())
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(3.0), True, "4"])
+    def test_rejects_non_integer_populations(self, bad):
+        with pytest.raises(ValueError, match="population must be an integer"):
+            FederationSpec(("a", "b"), (5, bad))
+
+    def test_accepts_numpy_integer_populations(self):
+        fed = FederationSpec.from_sizes(np.array([7, 3]))
+        assert fed.populations == (7, 3)
+        assert all(type(p) is int for p in fed.populations)
+
     def test_shares_sum_exactly_one(self):
         fed = FederationSpec.from_sizes((42, 25, 24, 9))
         assert sum(fed.shares()) == 1
