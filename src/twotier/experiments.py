@@ -217,8 +217,8 @@ class ExperimentConfig:
 
 def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = ()) -> dict[str, str]:
     """Read ``key = value`` lines; ``#`` starts a comment.  Every key in
-    ``required`` must appear, and no key outside ``required`` and
-    ``optional`` may."""
+    ``required`` must appear, no key outside ``required`` and ``optional``
+    may, and no key may appear twice."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -231,6 +231,8 @@ def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = ()
             key = key.strip()
             if key not in required and key not in optional:
                 raise ValueError(f"{path} line {line_no}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path} line {line_no}: repeated config key {key!r}")
             values[key] = value.strip()
     for key in required:
         if key not in values:

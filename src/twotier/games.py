@@ -33,6 +33,8 @@ __all__ = [
 _CANONICAL_MAX_PLAYERS = 20
 # grid points, (weight_bound + 1)^m, above which enumeration is refused
 _ENUMERATION_GRID_LIMIT = 20_000_000
+# bytes of coalition weights one chunk of ``_minimal_winning_rows`` holds
+_CANONICAL_CHUNK_BYTES = 1 << 19
 
 
 class ResourceLimitError(RuntimeError):
@@ -43,7 +45,7 @@ def _integer_at_least(name: str, value, minimum: int) -> int:
     """``value`` as an int, or ValueError naming ``name`` when it is not an
     integer (a bool, or a float even with an integral value) or is below
     ``minimum``."""
-    # the exact-type test first: the Integral check is slow, and games are built per scanned vector
+    # the exact-type test first: the Integral check costs about 1 µs a value
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
@@ -154,28 +156,49 @@ class CanonicalGameSignature:
     minimal_winning: tuple[int, ...]
 
 
-def canonicalize(game: WeightedVotingGame) -> CanonicalGameSignature:
-    """Canonical signature of a game, invariant under player permutation
-    and under scaling all weights by a positive integer.
+def _minimal_winning_rows(weights: np.ndarray, bar: int) -> np.ndarray:
+    """Minimal-winning coalitions of a batch of games, one bool row of 2^m
+    bitmasks per game: ``weights`` is (n, m), every row non-increasing, and
+    every game's largest losing weight is ``bar`` (games of one weight sum
+    and quota share it).  ``bar`` stays a Python int and coalition weights
+    take the dtype of ``weights``, int64 or, past its range, Python ints, so
+    each win/lose test is exact.
 
-    With the weights sorted non-increasing, a coalition's lightest member is
+    Two passes per row, as for one game: coalition weights by bitmask, then
+    minimality.  With the weights sorted, a coalition's lightest member is
     its highest set bit i, so mask ``2^i + j`` without it is mask ``j``.  A
     winning coalition is minimal iff that one loses: removing the lightest
-    member leaves the most weight of any single removal.
+    member leaves the most weight of any single removal.  Rows go
+    ``_CANONICAL_CHUNK_BYTES`` of coalition weights at a time.
     """
-    m = game.num_players
+    n, m = weights.shape
     if m > _CANONICAL_MAX_PLAYERS:
         raise ResourceLimitError(
             f"canonical form enumerates 2^{m} coalitions, above the {_CANONICAL_MAX_PLAYERS}-player cap"
         )
-    subset = np.zeros(1 << m, dtype=np.int64)  # coalition weights, indexed by bitmask
-    for i, w in enumerate(sorted(game.weights, reverse=True)):
-        subset[1 << i : 2 << i] = subset[: 1 << i] + w
-    winning = subset > game.bar
-    minimal = np.zeros(1 << m, dtype=bool)
-    for i in range(m):
-        np.greater(winning[1 << i : 2 << i], winning[: 1 << i], out=minimal[1 << i : 2 << i])
-    return CanonicalGameSignature(m, tuple(minimal.nonzero()[0].tolist()))
+    minimal = np.zeros((n, 1 << m), dtype=bool)
+    rows = max(1, _CANONICAL_CHUNK_BYTES // (weights.itemsize << m))
+    subset = np.zeros((min(n, rows), 1 << m), dtype=weights.dtype)  # column 0, the empty coalition, stays 0
+    for first in range(0, n, rows):
+        chunk = weights[first : first + rows]
+        sums = subset[: len(chunk)]
+        for i in range(m):
+            np.add(sums[:, : 1 << i], chunk[:, i : i + 1], out=sums[:, 1 << i : 2 << i])
+        winning = sums > bar
+        out = minimal[first : first + rows]
+        for i in range(m):
+            np.greater(winning[:, 1 << i : 2 << i], winning[:, : 1 << i], out=out[:, 1 << i : 2 << i])
+    return minimal
+
+
+def canonicalize(game: WeightedVotingGame) -> CanonicalGameSignature:
+    """Canonical signature of a game, invariant under player permutation
+    and under scaling all weights by a positive integer: the game's row of
+    ``_minimal_winning_rows`` with its weights sorted non-increasing."""
+    dtype = np.int64 if game.total_weight < 1 << 63 else object
+    weights = np.array([sorted(game.weights, reverse=True)], dtype=dtype)
+    minimal = _minimal_winning_rows(weights, game.bar)[0]
+    return CanonicalGameSignature(game.num_players, tuple(minimal.nonzero()[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -201,28 +224,58 @@ class GameClassEnumeration:
         return tuple(cls.representative for cls in self.classes)
 
 
-def _descending_partitions(total: int, parts: int, cap: int):
-    """Non-increasing tuples of ``parts`` non-negative ints summing to
-    ``total``, each at most ``cap``, in lexicographically ascending order."""
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(-(-total // parts), min(total, cap) + 1):  # the first part is at least its share
-        for rest in _descending_partitions(total - first, parts - 1, first):
-            yield (first, *rest)
+def _descending_partitions(total: int, parts: int, cap: int) -> np.ndarray:
+    """Non-increasing rows of ``parts`` non-negative ints summing to
+    ``total``, each at most ``cap``, in lexicographically ascending order,
+    as an int64 array; built one part at a time, each prefix extended by
+    every value its next part may take."""
+    vecs = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total])  # weight left for the remaining parts of each prefix
+    last = np.array([cap])  # the bound on the next part: the prefix's last part
+    for left in range(parts, 0, -1):
+        low = -(-rest // left)  # the next part is at least its share of the rest
+        counts = np.maximum(np.minimum(rest, last) - low + 1, 0)
+        prefix = np.repeat(np.arange(len(rest)), counts)
+        part = low[prefix] + np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts)
+        vecs = np.column_stack([vecs[prefix], part])
+        rest, last = rest[prefix] - part, part
+    return vecs
+
+
+def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """The first vector of each game class among the non-increasing vectors
+    of ``parts`` entries up to ``cap`` with weight sum 1..``max_total``,
+    scanned in (weight sum, lexicographic) order, and the number of vectors
+    scanned.  The vectors of one weight sum share a bar and go to
+    ``_minimal_winning_rows`` as one batch; a class is new when its packed
+    row was not seen earlier in the scan."""
+    firsts: list[tuple[int, ...]] = []
+    seen: set[bytes] = set()
+    scanned = 0
+    for total in range(1, max_total + 1):
+        vecs = _descending_partitions(total, parts, cap)
+        scanned += len(vecs)
+        bar = quota.numerator * total // quota.denominator
+        packed = np.packbits(_minimal_winning_rows(vecs, bar), axis=1)
+        data, width = packed.tobytes(), packed.shape[1]
+        for row in range(len(vecs)):
+            key = data[row * width : (row + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                firsts.append(tuple(vecs[row].tolist()))
+    return firsts, scanned
 
 
 def enumerate_game_classes(num_players: int, quota: Fraction | str | int, weight_bound: int) -> GameClassEnumeration:
     """Enumerate structurally distinct games with weights in {0..weight_bound}.
 
     Every weight vector with entries up to the bound (and at least one
-    positive entry) is canonicalized; the grid has (weight_bound+1)^m
-    points, refused above ``_ENUMERATION_GRID_LIMIT``.  Only non-increasing
-    vectors are visited, since the signature is permutation invariant, and
-    they are visited in (weight sum, lexicographic) order, so the first
-    vector of each class is its representative and the classes come in the
-    order of their representatives.
+    positive entry) is covered; the grid has (weight_bound+1)^m points,
+    refused above ``_ENUMERATION_GRID_LIMIT``.  Only non-increasing vectors
+    are scanned, since the signature is permutation invariant, and they are
+    scanned in (weight sum, lexicographic) order, so the first vector of
+    each class is its representative and the classes come in the order of
+    their representatives.  Each class is canonicalized once, on that vector.
     """
     if num_players < 1:
         raise ValueError("need at least one player")
@@ -233,9 +286,6 @@ def enumerate_game_classes(num_players: int, quota: Fraction | str | int, weight
     if grid > _ENUMERATION_GRID_LIMIT:
         raise ResourceLimitError(f"grid of {grid} weight vectors exceeds the limit {_ENUMERATION_GRID_LIMIT}")
 
-    representatives: dict[CanonicalGameSignature, tuple[int, ...]] = {}
-    for total in range(1, num_players * weight_bound + 1):
-        for vec in _descending_partitions(total, num_players, weight_bound):
-            representatives.setdefault(canonicalize(WeightedVotingGame(vec, quota)), vec)
-    classes = tuple(GameClass(sig, rep) for sig, rep in representatives.items())
+    firsts, _ = _class_firsts(num_players, quota, num_players * weight_bound, weight_bound)
+    classes = tuple(GameClass(canonicalize(WeightedVotingGame(vec, quota)), vec) for vec in firsts)
     return GameClassEnumeration(num_players, quota, weight_bound, classes)

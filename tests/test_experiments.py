@@ -139,6 +139,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"exp\.cfg line 6: unknown config key 'solver_bund'"):
             ExperimentConfig.from_file(config_path)
 
+    def test_repeated_key(self, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            "federation = a.csv\nquota = 1/2\nt_grid = 1\nreplications = 10\nseed = 9\nfederation = b.csv\n"
+        )
+        with pytest.raises(ValueError, match=r"exp\.cfg line 6: repeated config key 'federation'"):
+            ExperimentConfig.from_file(config_path)
+
     def test_missing_key(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text("federation = x.csv\n")

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from twotier import (
     enumerate_game_classes,
     exact_quota,
 )
+from twotier import games as games_module
+from twotier.games import _minimal_winning_rows
 
 HALF = Fraction(1, 2)
 
@@ -40,6 +43,30 @@ def games(draw, max_players=8):
     else:
         quota = Fraction(draw(st.integers(50, 99)), 100)
     return WeightedVotingGame(tuple(weights), quota)
+
+
+@st.composite
+def weight_sum_batches(draw, max_players=7):
+    """Non-increasing weight vectors with one weight sum, each after the
+    first moving one unit between two players of the one before (zeros,
+    ties and repeated rows), with a quota from 1/2 to 99/100 or exactly at
+    the weight of some coalition of the last vector."""
+    m = draw(st.integers(1, max_players))
+    vec = sorted(draw(st.lists(st.integers(0, 12), min_size=m, max_size=m).filter(any)), reverse=True)
+    batch = [tuple(vec)]
+    for give, take in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=30)):
+        if vec[give]:
+            vec[give] -= 1
+            vec[take] += 1
+            vec.sort(reverse=True)
+        batch.append(tuple(vec))
+    members = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    at_quota = Fraction(sum(w for w, x in zip(vec, members) if x), sum(vec))
+    if draw(st.booleans()) and HALF <= at_quota < 1:
+        quota = at_quota
+    else:
+        quota = Fraction(draw(st.integers(50, 99)), 100)
+    return tuple(batch), quota
 
 
 def minimal_winning_oracle(game):
@@ -200,8 +227,29 @@ class TestCanonicalize:
     @example(WeightedVotingGame((40, 25, 25, 10), HALF))  # {40, 10} sits exactly at the quota
     @example(WeightedVotingGame((5, 5, 5, 5, 5, 5, 5, 5), Fraction(5, 8)))  # five of eight sit at it
     @example(WeightedVotingGame((6 * 10**5, 5 * 10**5, 4 * 10**5), Fraction(10**13 + 1, 2 * 10**13)))  # weight × 2e13 > int64
+    @example(WeightedVotingGame((2**62, 2**62, 2**62), HALF))  # coalition weights past int64
+    @example(WeightedVotingGame((2**70, 2**69, 1), Fraction(2, 3)))  # weights past int64
     def test_equals_definition_property(self, game):
         assert canonicalize(game) == minimal_winning_oracle(game)
+
+    @PROPERTY
+    @given(weight_sum_batches(), st.integers(1, 5))
+    @example((((3, 3, 3, 1, 1, 0, 0), (3, 3, 2, 2, 1, 0, 0), (3, 3, 3, 1, 1, 0, 0)), HALF), 1)  # ties, zeros, repeats
+    @example((((40, 25, 25, 10), (50, 25, 25, 0), (25, 25, 25, 25)), HALF), 2)  # {40, 10} sits exactly at the quota
+    @example(
+        (((6 * 10**5, 5 * 10**5, 4 * 10**5), (5 * 10**5,) * 3, (15 * 10**5, 0, 0)), Fraction(10**13 + 1, 2 * 10**13)),
+        1,
+    )  # weight × 2e13 > int64
+    def test_batch_rows_equal_definition_property(self, batch, chunk_rows):
+        vecs, quota = batch
+        bar = quota.numerator * sum(vecs[0]) // quota.denominator
+        m = len(vecs[0])
+        with mock.patch.object(games_module, "_CANONICAL_CHUNK_BYTES", chunk_rows * (8 << m)):
+            rows = _minimal_winning_rows(np.array(vecs, dtype=np.int64), bar)
+        assert rows.shape == (len(vecs), 1 << m)
+        for vec, row in zip(vecs, rows):
+            expected = minimal_winning_oracle(WeightedVotingGame(vec, quota))
+            assert CanonicalGameSignature(m, tuple(row.nonzero()[0].tolist())) == expected
 
     def test_player_cap(self):
         game = WeightedVotingGame((1,) * 21, HALF)
@@ -260,6 +308,14 @@ class TestEnumeration:
         expected = sorted(best.items(), key=lambda item: (sum(item[1]), item[1]))
         enum = enumerate_game_classes(players, quota, bound)
         assert [(c.signature, c.representative) for c in enum.classes] == expected
+
+    @pytest.mark.parametrize("players, bound", [(4, 8), (5, 8), (6, 6)])
+    def test_same_classes_across_chunks(self, players, bound, monkeypatch):
+        expected = enumerate_game_classes(players, HALF, bound)
+        # three rows a chunk: the largest weight-sum batches hold more
+        assert len(games_module._descending_partitions(players * bound // 2, players, bound)) > 3
+        monkeypatch.setattr(games_module, "_CANONICAL_CHUNK_BYTES", 3 * (8 << players))
+        assert enumerate_game_classes(players, HALF, bound) == expected
 
     def test_representative_is_minimal(self):
         enum = enumerate_game_classes(3, HALF, 6)

@@ -27,7 +27,7 @@ from twotier import (
     solve_local_search,
 )
 from twotier import inverse
-from twotier.inverse import _NeighbourKeys, _numerator_key
+from twotier.inverse import _NeighbourKeys, _numerator_key, _scan_exceeds
 from twotier.power import _cumulative_table
 
 HALF = Fraction(1, 2)
@@ -237,9 +237,26 @@ class TestSolveExhaustive:
             solve_exhaustive(spec)
 
     def test_budget_guard(self):
-        spec = InverseProblemSpec(target=(F(1, 6),) * 6, weight_sum_bound=100)
+        # the scan would visit 169,788,079 non-increasing vectors, past the 10^7 limit
+        spec = InverseProblemSpec(target=(F(1, 6),) * 6, weight_sum_bound=200)
         with pytest.raises(ResourceLimitError):
             solve_exhaustive(spec)
+
+    @pytest.mark.parametrize("players, bound", [(1, 7), (2, 30), (3, 12), (4, 50), (6, 20)])
+    def test_scan_count_exact(self, players, bound):
+        def sorted_vectors(parts, budget, cap):  # non-increasing, sum <= budget, the zero vector included
+            if parts == 0:
+                return 1
+            return sum(sorted_vectors(parts - 1, budget - w, w) for w in range(min(budget, cap) + 1))
+
+        count = sorted_vectors(players, bound, bound) - 1
+        assert not _scan_exceeds(players, bound, count)
+        assert _scan_exceeds(players, bound, count - 1)
+
+    def test_guard_counts_scanned_vectors(self):
+        # C(56, 6) = 32,468,436 weight vectors, but only 96,334 non-increasing ones
+        spec = InverseProblemSpec(target=(0.3, 0.2, 0.2, 0.1, 0.1, 0.1), weight_sum_bound=50)
+        assert solve_exhaustive(spec).steps == 96_334
 
     def test_nozick_small_group(self):
         # three equal groups plus one smaller: the small delegate gets either
