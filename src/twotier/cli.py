@@ -89,11 +89,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    raw = parse_key_values(args.config, required=("federation", "game", "t", "replications", "seed"))
+    convert = {"t": float, "replications": int, "seed": int}
+    raw = parse_key_values(args.config, required=("federation", "game", *convert), convert=convert)
     fed = load_federation(raw["federation"])
     game = WeightedVotingGame.from_text(raw["game"])
-    model = PreferenceModel(cohesion=float(raw["t"]))
-    estimate = estimate_pivot_probabilities(fed, game, model, int(raw["replications"]), int(raw["seed"]))
+    model = PreferenceModel(cohesion=raw["t"])
+    estimate = estimate_pivot_probabilities(fed, game, model, raw["replications"], raw["seed"])
     print(f"game: {game.to_text()}")
     print(f"t: {raw['t']}  replications: {estimate.replications}  seed: {estimate.seed}")
     print(f"{'constituency':>16} {'population':>12} {'pivot_prob':>11} {'std_err':>9}")

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -186,17 +186,20 @@ class ExperimentConfig:
         solver_max_steps, solver_seed (defaults to seed), solver_method,
         output.  Any other key is an error.
         """
+        integer = dict.fromkeys(("replications", "seed", "weight_total", "solver_bound", "solver_restarts",
+                                 "solver_max_steps", "solver_seed"), int)
         raw = parse_key_values(
             path,
             required=("federation", "quota", "t_grid", "replications", "seed"),
             optional=("rules", "weight_total", "solver_bound", "solver_restarts", "solver_max_steps", "solver_seed",
                       "solver_method", "output"),
+            convert={**integer, "quota": Fraction, "t_grid": lambda text: tuple(map(float, text.split(",")))},
         )
         solver = InverseSolverOptions(
-            weight_sum_bound=int(raw.get("solver_bound", 100)),
-            restarts=int(raw.get("solver_restarts", 25)),
-            max_steps=int(raw.get("solver_max_steps", 500)),
-            seed=int(raw.get("solver_seed", raw["seed"])),
+            weight_sum_bound=raw.get("solver_bound", 100),
+            restarts=raw.get("solver_restarts", 25),
+            max_steps=raw.get("solver_max_steps", 500),
+            seed=raw.get("solver_seed", raw["seed"]),
             method=raw.get("solver_method", "auto"),
         )
         rules = tuple(
@@ -204,22 +207,24 @@ class ExperimentConfig:
         )
         return cls(
             federation_path=raw["federation"],
-            quota_ratio=Fraction(raw["quota"]),
-            t_grid=tuple(float(part) for part in raw["t_grid"].split(",")),
-            replications=int(raw["replications"]),
-            seed=int(raw["seed"]),
+            quota_ratio=raw["quota"],
+            t_grid=raw["t_grid"],
+            replications=raw["replications"],
+            seed=raw["seed"],
             rules=rules,
-            weight_total=int(raw.get("weight_total", 1000)),
+            weight_total=raw.get("weight_total", 1000),
             solver=solver,
             output_path=raw.get("output", "results.csv"),
         )
 
 
-def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = ()) -> dict[str, str]:
+def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = (), convert: Mapping = {}) -> dict:
     """Read ``key = value`` lines; ``#`` starts a comment.  Every key in
     ``required`` must appear, no key outside ``required`` and ``optional``
-    may, and no key may appear twice."""
-    values: dict[str, str] = {}
+    may, and no key may appear twice.  A value whose key is in ``convert``
+    is passed through its function; one that fails to convert is an error
+    naming the file, the line and the key."""
+    values: dict[str, Any] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
@@ -228,12 +233,15 @@ def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = ()
             key, sep, value = text.partition("=")
             if not sep:
                 raise ValueError(f"{path} line {line_no}: expected 'key = value', got {line.rstrip()!r}")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in required and key not in optional:
                 raise ValueError(f"{path} line {line_no}: unknown config key {key!r}")
             if key in values:
                 raise ValueError(f"{path} line {line_no}: repeated config key {key!r}")
-            values[key] = value.strip()
+            try:
+                values[key] = convert[key](value) if key in convert else value
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path} line {line_no}: config key {key!r}: {exc}") from None
     for key in required:
         if key not in values:
             raise ValueError(f"{path}: missing required config key {key!r}")

@@ -9,6 +9,7 @@ loses, and no floating-point rounding can flip such knife-edge cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,8 +32,8 @@ __all__ = [
 
 # players above which canonical forms (2^m coalitions) are refused
 _CANONICAL_MAX_PLAYERS = 20
-# grid points, (weight_bound + 1)^m, above which enumeration is refused
-_ENUMERATION_GRID_LIMIT = 20_000_000
+# scanned vectors times their 2^m coalitions above which a class scan is refused
+_SCAN_CELL_LIMIT = 10**7 << 6
 # bytes of coalition weights one chunk of ``_minimal_winning_rows`` holds
 _CANONICAL_CHUNK_BYTES = 1 << 19
 
@@ -248,7 +249,33 @@ def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tupl
     scanned in (weight sum, lexicographic) order, and the number of vectors
     scanned.  The vectors of one weight sum share a bar and go to
     ``_minimal_winning_rows`` as one batch; a class is new when its packed
-    row was not seen earlier in the scan."""
+    row was not seen earlier in the scan.
+
+    Refused, before the scan, when its vectors times their 2^``parts``
+    coalitions pass ``_SCAN_CELL_LIMIT``.  The callers scan every vector up
+    to ``cap`` (``max_total = parts * cap``), C(cap + parts, parts) - 1 of
+    them, or every vector of sum up to ``max_total`` (``cap = max_total``),
+    the partitions of 1..max_total into at most k = ``parts`` parts: at
+    least C(...) - 1 over k!.  The smaller count is exact for both, so
+    partitions are counted, p(n, k) = p(n, k - 1) + p(n - k, k), only when
+    those bounds straddle the limit, and only until they pass it.
+    """
+    limit = _SCAN_CELL_LIMIT >> parts  # vectors, none from 30 players on
+    count = math.comb(cap + parts, parts) - 1 if limit else 1
+    if 0 < limit < count <= limit * math.factorial(parts):
+        rows, count = [[1] * (parts + 1)], 0  # rows[n][k] = p(n, k)
+        for n in range(1, max_total + 1):
+            rows.append([0])
+            for k in range(1, parts + 1):
+                rows[n].append(rows[n][k - 1] + (rows[n - k][k] if k <= n else 0))
+            count += rows[n][parts]
+            if count > limit:
+                break
+    if count > limit:
+        raise ResourceLimitError(
+            f"scan of more than {limit} weight vectors of 2^{parts} coalitions each exceeds the limit "
+            f"of {_SCAN_CELL_LIMIT} coalitions"
+        )
     firsts: list[tuple[int, ...]] = []
     seen: set[bytes] = set()
     scanned = 0
@@ -270,22 +297,16 @@ def enumerate_game_classes(num_players: int, quota: Fraction | str | int, weight
     """Enumerate structurally distinct games with weights in {0..weight_bound}.
 
     Every weight vector with entries up to the bound (and at least one
-    positive entry) is covered; the grid has (weight_bound+1)^m points,
-    refused above ``_ENUMERATION_GRID_LIMIT``.  Only non-increasing vectors
-    are scanned, since the signature is permutation invariant, and they are
+    positive entry) is covered.  Only the C(weight_bound + m, m) - 1
+    non-increasing ones are scanned, since the signature is permutation
+    invariant, refused past ``_SCAN_CELL_LIMIT`` / 2^m of them.  They are
     scanned in (weight sum, lexicographic) order, so the first vector of
     each class is its representative and the classes come in the order of
-    their representatives.  Each class is canonicalized once, on that vector.
+    their representatives.  Each class is canonicalized once, on it.
     """
-    if num_players < 1:
-        raise ValueError("need at least one player")
-    if weight_bound < 1:
-        raise ValueError("weight bound must be positive")
+    num_players = _integer_at_least("num_players", num_players, 1)
+    weight_bound = _integer_at_least("weight_bound", weight_bound, 1)
     quota = exact_quota(quota)
-    grid = (weight_bound + 1) ** num_players
-    if grid > _ENUMERATION_GRID_LIMIT:
-        raise ResourceLimitError(f"grid of {grid} weight vectors exceeds the limit {_ENUMERATION_GRID_LIMIT}")
-
     firsts, _ = _class_firsts(num_players, quota, num_players * weight_bound, weight_bound)
     classes = tuple(GameClass(canonicalize(WeightedVotingGame(vec, quota)), vec) for vec in firsts)
     return GameClassEnumeration(num_players, quota, weight_bound, classes)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .games import ResourceLimitError, WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
+from .games import WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
 from .games import _class_firsts, _integer_at_least
 from .power import (
     _add_player,
@@ -50,8 +50,6 @@ SOLVER_METHODS = ("auto", "exhaustive", "local")
 # players up to which exhaustive search runs and class representatives seed
 # local search
 _EXHAUSTIVE_MAX_PLAYERS = 6
-# non-increasing weight vectors scanned above which exhaustive search is refused
-_EXHAUSTIVE_GRID_LIMIT = 10_000_000
 
 
 def _norm_name(norm: str) -> str:
@@ -238,36 +236,12 @@ def _solution(
     )
 
 
-def _scan_exceeds(parts: int, bound: int, limit: int) -> bool:
-    """Whether exhaustive search would scan more than ``limit`` vectors: the
-    non-increasing vectors of ``parts`` non-negative ints with weight sum
-    1..``bound``.  Each stands for 1 to parts! of the C(bound + parts,
-    parts) - 1 nonzero vectors with those sums, so only between those
-    bounds are they counted, by the number p(n, k) of partitions of n into
-    at most k parts, p(n, k) = p(n, k - 1) + p(n - k, k), until the count
-    passes ``limit``."""
-    grid = math.comb(bound + parts, parts) - 1
-    if grid <= limit or grid > limit * math.factorial(parts):
-        return grid > limit
-    rows = [[1] * (parts + 1)]  # rows[n][k] = p(n, k)
-    count = 0
-    for n in range(1, bound + 1):
-        row = [0]
-        for k in range(1, parts + 1):
-            row.append(row[k - 1] + (rows[n - k][k] if k <= n else 0))
-        rows.append(row)
-        count += row[parts]
-        if count > limit:
-            return True
-    return False
-
-
 def solve_exhaustive(spec: InverseProblemSpec) -> InverseSolution:
     """Certified optimum over all weight vectors with sum <= weight_sum_bound.
 
     The non-increasing vectors are scanned in (sum, lexicographic) order
-    (``games._class_firsts``, refused past ``_EXHAUSTIVE_GRID_LIMIT``
-    vectors), and only the first vector of each canonical class is
+    (``games._class_firsts``, refused past its limit: 6 players pass it at
+    weight sum 121), and only the first vector of each canonical class is
     evaluated (one exact index computation per class, aligned to the
     target); the representative realizing the optimum follows the tie-break
     (smaller weight sum, then lexicographically smallest sorted vector),
@@ -276,11 +250,6 @@ def solve_exhaustive(spec: InverseProblemSpec) -> InverseSolution:
     m = spec.num_players
     if m > _EXHAUSTIVE_MAX_PLAYERS:
         raise ValueError(f"exhaustive search is limited to {_EXHAUSTIVE_MAX_PLAYERS} players, got {m}")
-    if _scan_exceeds(m, spec.weight_sum_bound, _EXHAUSTIVE_GRID_LIMIT):
-        raise ResourceLimitError(
-            f"scan of more than {_EXHAUSTIVE_GRID_LIMIT} weight vectors refused; lower weight_sum_bound"
-        )
-
     firsts, scanned = _class_firsts(m, spec.quota_ratio, spec.weight_sum_bound, spec.weight_sum_bound)
     classes = {canonicalize(WeightedVotingGame(vec, spec.quota_ratio)): vec for vec in firsts}
     keys = _NeighbourKeys(spec)

@@ -67,9 +67,9 @@ class Distribution:
     params: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", (float(self.params[0]), float(self.params[1])))
-        if not all(math.isfinite(p) for p in self.params):
-            raise ValueError(f"distribution parameters must be finite, got {self.params}")
+        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if len(self.params) != 2 or not all(math.isfinite(p) for p in self.params):
+            raise ValueError(f"distribution parameters must be two finite numbers, got {self.params}")
         if self.name == "uniform":
             low, high = self.params
             if not high > low:

@@ -147,6 +147,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"exp\.cfg line 6: repeated config key 'federation'"):
             ExperimentConfig.from_file(config_path)
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("replications = 1e5", "replications"), ("quota = half", "quota"), ("t_grid = 1, x", "t_grid"),
+         ("solver_bound = 5.5", "solver_bound")],
+    )
+    def test_number_error_names_file_and_key(self, tmp_path, line, key):
+        base = {"federation": "f.csv", "quota": "1/2", "t_grid": "1", "replications": "10", "seed": "9"}
+        lines = [f"{k} = {v}" for k, v in base.items() if k != key] + [line]
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"exp\.cfg line {len(lines)}: config key '{key}': "):
+            ExperimentConfig.from_file(config_path)
+
     def test_missing_key(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text("federation = x.csv\n")
@@ -330,6 +343,21 @@ class TestCli:
         assert main(["experiment", str(config)]) == 0
         assert (tmp_path / "r.csv").exists()
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("replications", "1e5"), ("seed", "3.0"), ("t", "five")])
+    def test_simulate_number_error_names_file_and_key(self, tmp_path, capsys, key, value):
+        values = {"federation": "f.csv", "game": "1/2; 2,1,1", "t": "5", "replications": "20", "seed": "3"}
+        config = tmp_path / "sim.cfg"
+        config.write_text("".join(f"{k} = {value if k == key else v}\n" for k, v in values.items()))
+        assert main(["simulate", str(config)]) == 2
+        line = list(values).index(key) + 1
+        assert f"sim.cfg line {line}: config key '{key}': " in capsys.readouterr().err
+
+    def test_experiment_number_error_names_file_and_key(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("federation = f.csv\nquota = 1/2\nt_grid = 1\nreplications = 1e5\nseed = 4\n")
+        assert main(["experiment", str(config)]) == 2
+        assert "exp.cfg line 4: config key 'replications': " in capsys.readouterr().err
 
     def test_error_exit_code_and_diagnostic(self, capsys):
         assert main(["power", "not-a-game"]) == 2

@@ -291,8 +291,31 @@ class TestEnumeration:
         assert counts == sorted(counts)
 
     def test_budget_guard(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_game_classes(10, HALF, 20)  # 21^10 grid points, past the 2 * 10^7 limit
+        # C(30, 10) - 1 = 30,045,014 vectors of 2^10 coalitions, and 10,625 of
+        # 2^20, each past the limit of 10^7 * 2^6 coalitions
+        for players, bound in [(10, 20), (20, 4)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError):
+                    enumerate_game_classes(players, HALF, bound)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16  # refused before any scan is allocated
+
+    def test_guard_counts_scanned_vectors(self):
+        # 7^10 = 282,475,249 grid points, but only C(16, 10) - 1 = 8,007
+        # non-increasing vectors of 2^10 coalitions each
+        assert enumerate_game_classes(10, HALF, 6).count == 4_327
+
+    @pytest.mark.parametrize(
+        "players, bound, name",
+        [(True, 4, "num_players"), (2.0, 4, "num_players"), (0, 4, "num_players"),
+         (2, True, "weight_bound"), (2, 4.0, "weight_bound"), (2, 0, "weight_bound")],
+    )
+    def test_rejects_bad_integers(self, players, bound, name):
+        with pytest.raises(ValueError, match=name):
+            enumerate_game_classes(players, HALF, bound)
 
     @pytest.mark.parametrize("quota", [HALF, Fraction(2, 3), Fraction(37, 50)])
     @pytest.mark.parametrize("players, bound", list(itertools.product(range(1, 5), range(1, 5))))

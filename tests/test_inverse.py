@@ -27,7 +27,8 @@ from twotier import (
     solve_local_search,
 )
 from twotier import inverse
-from twotier.inverse import _NeighbourKeys, _numerator_key, _scan_exceeds
+from twotier import games as games_module
+from twotier.inverse import _NeighbourKeys, _numerator_key
 from twotier.power import _cumulative_table
 
 HALF = Fraction(1, 2)
@@ -237,21 +238,44 @@ class TestSolveExhaustive:
             solve_exhaustive(spec)
 
     def test_budget_guard(self):
-        # the scan would visit 169,788,079 non-increasing vectors, past the 10^7 limit
+        # the scan would visit 169,788,079 non-increasing vectors, past the
+        # limit of 10^7 at 2^6 coalitions each
         spec = InverseProblemSpec(target=(F(1, 6),) * 6, weight_sum_bound=200)
         with pytest.raises(ResourceLimitError):
             solve_exhaustive(spec)
 
-    @pytest.mark.parametrize("players, bound", [(1, 7), (2, 30), (3, 12), (4, 50), (6, 20)])
-    def test_scan_count_exact(self, players, bound):
+    @pytest.mark.parametrize(
+        "players, max_total, cap",
+        # the exhaustive-search shape, cap = max_total, then the enumeration
+        # shape, max_total = players * cap
+        [pytest.param(m, b, b, id=f"{m}-{b}") for m, b in [(1, 7), (2, 30), (3, 12), (4, 50), (6, 20)]]
+        + [pytest.param(m, m * b, b, id=f"enumerate-{m}-{b}") for m, b in [(4, 8), (6, 6), (10, 6)]],
+    )
+    def test_scan_count_exact(self, players, max_total, cap, monkeypatch):
         def sorted_vectors(parts, budget, cap):  # non-increasing, sum <= budget, the zero vector included
             if parts == 0:
                 return 1
             return sum(sorted_vectors(parts - 1, budget - w, w) for w in range(min(budget, cap) + 1))
 
-        count = sorted_vectors(players, bound, bound) - 1
-        assert not _scan_exceeds(players, bound, count)
-        assert _scan_exceeds(players, bound, count - 1)
+        count = sorted_vectors(players, max_total, cap) - 1
+        if max_total > cap:
+            assert count == math.comb(cap + players, players) - 1  # 494, 923 and 8,007
+        # a limit of exactly the scan runs it; one coalition less refuses it
+        monkeypatch.setattr(games_module, "_SCAN_CELL_LIMIT", count << players)
+        assert games_module._class_firsts(players, HALF, max_total, cap)[1] == count
+        monkeypatch.setattr(games_module, "_SCAN_CELL_LIMIT", (count << players) - 1)
+        with pytest.raises(ResourceLimitError):
+            games_module._class_firsts(players, HALF, max_total, cap)
+
+    def test_six_player_boundary(self):
+        # weight sums up to 120 scan 9,683,838 vectors, up to 121 10,136,929:
+        # the limit is 10^7 vectors of 2^6 coalitions
+        assert games_module._SCAN_CELL_LIMIT == 10**7 << 6
+        with mock.patch.object(games_module, "_descending_partitions", side_effect=AssertionError("scanned")):
+            with pytest.raises(AssertionError, match="scanned"):
+                games_module._class_firsts(6, HALF, 120, 120)
+            with pytest.raises(ResourceLimitError):
+                games_module._class_firsts(6, HALF, 121, 121)
 
     def test_guard_counts_scanned_vectors(self):
         # C(56, 6) = 32,468,436 weight vectors, but only 96,334 non-increasing ones

@@ -75,6 +75,11 @@ class TestDistribution:
         with pytest.raises(ValueError, match="finite"):
             Distribution(*params)
 
+    @pytest.mark.parametrize("params", [(0.0,), (0.0, 1.0, 5.0), ()])
+    def test_rejects_wrong_param_count(self, params):
+        with pytest.raises(ValueError, match="two finite numbers"):
+            Distribution("normal", params)
+
     def test_sample_matches_ppf_distribution(self):
         rng = np.random.default_rng(31)
         draws = NORMAL.sample(rng, 50_000)
