@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -108,6 +109,16 @@ class WeightedVotingGame:
         an integer weight wins iff it exceeds the bar."""
         quota = self.quota_ratio
         return quota.numerator * self.total_weight // quota.denominator
+
+    @cached_property
+    def _pivots(self) -> Mapping[int, tuple[int, ...]]:
+        """Pivots by coalition size for each distinct weight, computed once
+        per game by ``power._pivot_counts_by_size`` and shared by every
+        index that reads them.  Like ``bar``, it is no dataclass field, so
+        equality, hashing, ``repr`` and ``to_text`` ignore it."""
+        from .power import _pivot_counts_by_size  # power imports this module
+
+        return MappingProxyType(_pivot_counts_by_size(self))
 
     def wins_weight(self, weight: int) -> bool:
         """Exact test: does a coalition of this combined weight win?"""

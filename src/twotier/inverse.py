@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .power import (
     _add_player,
     _check_budget,
     _cumulative_table,
-    _gather_pivots,
-    _pivot_counts_by_size,
+    _exact_pivots,
     _pivot_orderings,
     _remove_player,
     shapley_shubik,
@@ -285,8 +284,8 @@ def _initial_points(spec: InverseProblemSpec) -> Iterable[tuple[int, ...]]:
         yield _align_to_target(rounded, spec.target)
 
 
-# bytes of edited tables (of references, for object counts) stacked for one
-# gather; bounds the memory a descent step adds
+# bytes of edited tables stacked for one gather; bounds the memory a descent
+# step adds
 _STACK_BYTES = 1 << 19
 
 
@@ -313,7 +312,7 @@ class _NeighbourKeys:
         self.orderings = _pivot_orderings(spec.num_players)
         self.cache: dict[tuple[int, ...], int] = {}
 
-    def _cache_keys(self, vecs: list[tuple[int, ...]], pivots: dict[int, list[int]]) -> None:
+    def _cache_keys(self, vecs: list[tuple[int, ...]], pivots: Mapping[int, Sequence[int]]) -> None:
         """Cache the keys of ``vecs``, vectors of one weight multiset whose
         pivots by size, per weight, are ``pivots``."""
         numerators = {w: sum(map(mul, pivots[w], self.orderings)) for w in set(vecs[0])}
@@ -325,7 +324,7 @@ class _NeighbourKeys:
         if vec not in self.cache:
             game = WeightedVotingGame(vec, self.quota)
             _check_budget(game.num_players, game.total_weight)
-            self._cache_keys([vec], {w: p.tolist() for w, p in _pivot_counts_by_size(game).items()})
+            self._cache_keys([vec], game._pivots)
         return self.cache[vec]
 
     def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -367,8 +366,7 @@ class _NeighbourKeys:
                     _remove_player(edited, u)
                     _add_player(edited, u + delta)
                 weights = set().union(*(vecs[0] for _, vecs in chunk))
-                gathered = _gather_pivots(stack, weights, self.quota, total + delta)
-                pivots = {w: p.tolist() for w, p in gathered.items()}
+                pivots = _exact_pivots(stack, weights, self.quota, total + delta)
                 for row, (_, vecs) in enumerate(chunk):
                     self._cache_keys(vecs, {w: p[row] for w, p in pivots.items()})
 

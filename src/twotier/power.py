@@ -30,53 +30,103 @@ __all__ = [
 DEFAULT_DP_BUDGET = 2_000_000
 
 
+def _moduli(num_players: int, width: int) -> tuple[int, ...]:
+    """Moduli of the residue layers that follow layer 0 (mod 2^64, numpy's
+    int64 wrap) in a cumulative table of ``num_players`` players and
+    ``width`` columns.
+
+    A pivot count of size s is at most C(m-1, s), so layer 0 alone reads
+    every count exactly, as a signed int64, while C(m-1, (m-1)//2) < 2^63:
+    up to m = 67.  Past that, moduli are added until 2^63 times their
+    product passes that bound, and each count is rebuilt by the Chinese
+    remainder theorem (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 5), which needs moduli that are odd and pairwise coprime, not prime.
+    Each modulus p keeps p * max(width, 2m) < 2^63, so neither a row's
+    running sum of residues, nor a removal's rows before they are reduced
+    (below (m + 1) * p), nor a gather of up to 2m signed residues
+    overflows int64.
+    """
+    bound = math.comb(num_players - 1, (num_players - 1) // 2)
+    candidate = 1 << (63 - (max(width, 2 * num_players) - 1).bit_length())
+    moduli, product = [], 1 << 63
+    while product <= bound:
+        candidate -= 1
+        if math.gcd(candidate, product) == 1:
+            moduli.append(candidate)
+            product *= candidate
+    return tuple(moduli)
+
+
+def _fold(layers: np.ndarray, moduli: Sequence[int]) -> None:
+    """Map residues that a sum left in [0, 2p) back into [0, p), in place,
+    layer by layer.  Read as uint64, x - p wraps past 2^63 when x < p, so
+    the smaller of x and x - p is the residue (faster than ``%``)."""
+    for layer, p in zip(layers, moduli):
+        u = layer.view(np.uint64)
+        np.minimum(u, u - np.uint64(p), out=u)
+
+
 def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """Cumulative counts C[s][x] of coalitions of size s and weight <= x
-    for x < width, below one zero row that stands for size -1: an array of
-    shape (m + 2, width).  ``_gather_pivots`` clips a flat index below that
-    row to its first cell, so C[s-k] reads 0 for every k > s.
+    for x < width, below one zero row that stands for size -1, held as
+    int64 residue layers: an array of shape (layers, m + 2, width).
+    ``_gather_pivots`` clips a flat index below that row to its first cell,
+    so C[s-k] reads 0 for every k > s.
 
     One knapsack pass over (coalition size, coalition weight) counts the
-    coalitions in O(m^2 * width), and a running sum over weight makes the
-    counts cumulative.  A player of weight >= width is in no coalition
-    counted and is skipped, here and by ``_add_player``/``_remove_player``.
-    Counts are exact: int64 while binomial coefficients fit, arbitrary
-    precision objects beyond that.
+    coalitions in O(m^2 * width) per layer, and a running sum over weight
+    makes the counts cumulative.  A player of weight >= width is in no
+    coalition counted and is skipped, here and by
+    ``_add_player``/``_remove_player``.  Layer 0 holds the counts mod 2^64;
+    the layers of ``_moduli(m, width)``, none up to 67 players, hold them
+    mod each modulus, reduced after every add.  ``_exact_pivots`` rebuilds
+    exact counts from the layers.
     """
     m = len(weights)
-    dtype = np.int64 if math.comb(m, m // 2) < 2**62 else object
-    padded = np.zeros((m + 2, width), dtype=dtype)
-    table = padded[1:]
-    table[0, 0] = 1
+    moduli = _moduli(m, width)
+    padded = np.zeros((1 + len(moduli), m + 2, width), dtype=np.int64)
+    table = padded[:, 1:]
+    table[:, 0, 0] = 1
     filled = 0  # rows 0..filled may hold non-zero counts
     for w in weights:
         if w >= width:
             continue
         filled += 1
         # numpy buffers the overlapping operand, so this reads the old rows
-        table[1 : filled + 1, w:] += table[0:filled, : width - w]
-    np.cumsum(table, axis=1, out=table)
+        table[:, 1 : filled + 1, w:] += table[:, 0:filled, : width - w]
+        if moduli:
+            _fold(table[1:, 1 : filled + 1, w:], moduli)
+    np.cumsum(table, axis=2, out=table)
+    for layer, p in zip(table[1:], moduli):
+        layer %= p
     return padded
 
 
 def _add_player(padded: np.ndarray, w: int) -> None:
     """Add a player of weight w to a cumulative table in place, in
-    O(m * width):  C'[s][x] = C[s][x] + C[s-1][x-w]."""
-    width = padded.shape[1]
+    O(m * width) per layer:  C'[s][x] = C[s][x] + C[s-1][x-w]."""
+    m, width = padded.shape[1] - 2, padded.shape[2]
     if w < width:
-        table = padded[1:]
-        table[1:, w:] += table[:-1, : width - w]
+        table = padded[:, 1:]
+        table[:, 1:, w:] += table[:, :-1, : width - w]
+        moduli = _moduli(m, width)
+        if moduli:
+            _fold(table[1:, 1:, w:], moduli)
 
 
 def _remove_player(padded: np.ndarray, w: int) -> None:
     """Remove a player of weight w from a cumulative table in place, in
-    O(m * width): the same recurrence solved row by row for the table
-    without it,  C'[s][x] = C[s][x] - C'[s-1][x-w]."""
-    m, width = padded.shape[0] - 2, padded.shape[1]
+    O(m * width) per layer: the same recurrence solved row by row for the
+    table without it,  C'[s][x] = C[s][x] - C'[s-1][x-w].  A residue row s
+    stays within s + 1 moduli of 0, inside int64 by the bound of
+    ``_moduli``, so each residue layer is reduced once, at the end."""
+    m, width = padded.shape[1] - 2, padded.shape[2]
     if w < width:
-        table = padded[1:]
-        for s in range(1, m + 1):
-            table[s, w:] -= table[s - 1, : width - w]
+        for table in padded[:, 1:]:
+            for s in range(1, m + 1):
+                table[s, w:] -= table[s - 1, : width - w]
+        for layer, p in zip(padded[1:], _moduli(m, width)):
+            layer %= p
 
 
 def _gather_pivots(
@@ -84,9 +134,9 @@ def _gather_pivots(
 ) -> dict[int, np.ndarray]:
     """Map each weight w in ``weights`` to the counts, by |S|, of
     coalitions S without one player of weight w that the player turns
-    winning: an array of shape (n, m) for a stack of n cumulative tables,
-    shape (n, m + 2, width), of games with the same player count and the
-    same total weight.
+    winning: an array of shape (n, m) for a stack of n layers of cumulative
+    tables, shape (n, m + 2, width), of games with the same player count
+    and the same total weight.
 
     The tables must reach the largest losing weight cap.  Removing a player
     of weight w obeys the knapsack recurrence, so the cumulative counts
@@ -115,17 +165,49 @@ def _gather_pivots(
         step = ncols + w  # flat distance from C[s-k][x-k*w] to C[s-k-1][x-(k+1)*w]
         # C[s-k][low-1-k*w] for k = k_lo-1 down to 0, then C[s-k][cap-k*w] for k < k_hi
         offsets = [*range(low - 1 - step * (k_lo - 1), low, step), *range(cap, cap - step * k_hi, -step)]
-        # int64 sums may wrap midway; exact because every final count fits
+        # exact mod 2^64 on layer 0, where int64 sums wrap, and within 2m
+        # moduli of 0 on a residue layer (see ``_moduli``)
         counts[w] = flat.take(starts + offsets, axis=1, mode="clip") @ signs[m - k_lo : m + k_hi]
     return counts
 
 
-def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, np.ndarray]:
+def _exact_pivots(
+    stack: np.ndarray, weights: Iterable[int], quota: Fraction, total: int
+) -> dict[int, list[list[int]]]:
+    """``_gather_pivots`` of a stack of n cumulative tables of the same
+    shape, (n, layers, m + 2, width), as exact Python ints: each weight's
+    pivots by size in n lists.  The layers go to the gather as extra
+    tables.  One layer is read as int64 as it is; past it, layer 0 is
+    read as uint64 (mod 2^64), the others are reduced mod their moduli,
+    and Garner's form of the Chinese remainder theorem rebuilds each count
+    from its residues."""
+    n, layers, rows, width = stack.shape
+    m = rows - 2
+    gathered = _gather_pivots(stack.reshape(n * layers, rows, width), weights, quota, total)
+    moduli = _moduli(m, width)
+    if not moduli:
+        return {w: counts.tolist() for w, counts in gathered.items()}
+    pivots = {}
+    for w, counts in gathered.items():
+        counts = counts.reshape(n, layers, m)
+        values = counts[:, 0].astype(np.uint64).ravel().tolist()
+        modulus = 1 << 64
+        for layer, p in enumerate(moduli, 1):
+            inverse = pow(modulus, -1, p)
+            residues = (counts[:, layer] % p).ravel().tolist()
+            values = [v + modulus * ((r - v) * inverse % p) for v, r in zip(values, residues)]
+            modulus *= p
+        pivots[w] = [values[row * m : (row + 1) * m] for row in range(n)]
+    return pivots
+
+
+def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[int, ...]]:
     """Pivots by coalition size for each distinct weight of the game, from a
-    table that reaches exactly the largest losing weight."""
+    table that reaches exactly the largest losing weight.  Every index reads
+    them once per game, through ``WeightedVotingGame._pivots``."""
     table = _cumulative_table(game.weights, game.bar + 1)
-    pivots = _gather_pivots(table[None], game.weights, game.quota_ratio, game.total_weight)
-    return {w: counts[0] for w, counts in pivots.items()}
+    pivots = _exact_pivots(table[None], game.weights, game.quota_ratio, game.total_weight)
+    return {w: tuple(counts[0]) for w, counts in pivots.items()}
 
 
 def _pivot_orderings(num_players: int) -> list[int]:
@@ -157,8 +239,7 @@ def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     coeff = _pivot_orderings(game.num_players)
     m_fact = math.factorial(game.num_players)
     values = {
-        w: Fraction(sum(map(mul, pivots.tolist(), coeff)), m_fact)
-        for w, pivots in _pivot_counts_by_size(game).items()
+        w: Fraction(sum(map(mul, pivots, coeff)), m_fact) for w, pivots in game._pivots.items()
     }
     return tuple(values[w] for w in game.weights)
 
@@ -194,10 +275,7 @@ def banzhaf(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     m = game.num_players
     denominator = 2 ** (m - 1)
     # summed as Python ints: a player's swings reach 2^(m-1), past int64 at m = 65
-    values = {
-        w: Fraction(sum(pivots.tolist()), denominator)
-        for w, pivots in _pivot_counts_by_size(game).items()
-    }
+    values = {w: Fraction(sum(pivots), denominator) for w, pivots in game._pivots.items()}
     return tuple(values[w] for w in game.weights)
 
 

@@ -246,6 +246,28 @@ class TestRunExperiment:
             recomputed = tuple(str(v) for v in shapley_shubik(game))
             assert tuple(ssi_text.split()) == recomputed
 
+    def test_companion_reuses_the_solved_pivots(self, tmp_path, monkeypatch):
+        import twotier.experiments as experiments_module
+        from twotier import power
+
+        built = []  # the weights of every table built since the last game was
+        table, build_weights = power._cumulative_table, experiments_module.build_weights
+
+        def build(*args):
+            game = build_weights(*args)
+            built.clear()
+            return game
+
+        monkeypatch.setattr(power, "_cumulative_table", lambda weights, width: built.append(weights) or table(weights, width))
+        monkeypatch.setattr(experiments_module, "build_weights", build)
+        config = self.small_config(tmp_path)
+        run_experiment(config)
+        lines = games_path_for(config.output_path).read_text().splitlines()
+        proportional = WeightedVotingGame.from_text(lines[0].split("\t")[1])
+        # only the proportional line builds a table: the shapley_inverse
+        # game's pivots came with its solution
+        assert built == [proportional.weights]
+
     def test_rerun_byte_identical(self, tmp_path):
         config = self.small_config(tmp_path)
         run_experiment(config)

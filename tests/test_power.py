@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotier import (
     ResourceLimitError,
@@ -16,6 +17,8 @@ from twotier import (
     shapley_permutation_oracle,
     shapley_shubik,
 )
+from twotier import power
+from twotier.power import _moduli, _pivot_counts_by_size
 from tests.test_games import PROPERTY, games, random_game
 
 HALF = Fraction(1, 2)
@@ -33,6 +36,41 @@ def brute_force_banzhaf(game):
                 swings += 1
         expected.append(F(swings, 2 ** (m - 1)))
     return tuple(expected)
+
+
+def reference_pivots(game):
+    """Pivots by size for each distinct weight w: the coalitions S of the
+    other players, counted by |S|, with bar - w < w(S) <= bar.  A knapsack
+    over the other players, run again for each distinct weight, in plain
+    Python ints with no residues and no deconvolution: row s packs the
+    counts of size s by weight 0..bar into one int, m bits per weight,
+    room for any count below 2^(m-1)."""
+    m, bar = game.num_players, game.bar
+    slot = (1 << m) - 1
+    mask = (1 << m * (bar + 1)) - 1
+    pivots = {}
+    for w in set(game.weights):
+        others = list(game.weights)
+        others.remove(w)
+        rows = [1] + [0] * (m - 1)
+        for filled, v in enumerate(others, 1):
+            for s in range(filled, 0, -1):
+                rows[s] = (rows[s] + (rows[s - 1] << v * m)) & mask
+        low = min(max(bar - w + 1, 0), bar + 1)
+        window = (1 << m * (bar + 1 - low)) - 1
+        chunks = [(row >> low * m) & window for row in rows]
+        pivots[w] = tuple(sum((c >> k * m) & slot for k in range(bar + 1 - low)) for c in chunks)
+    return pivots
+
+
+def game_at_bar(m, bar, values, seed):
+    """A game of m players at quota 1/2 with weights drawn from ``values``,
+    its last weight set so that the largest losing weight is ``bar``."""
+    rng = np.random.default_rng(seed)
+    weights = [int(v) for v in rng.choice(values, m - 1)]
+    last = 2 * bar + 1 - sum(weights)
+    assert last >= 0
+    return WeightedVotingGame((*weights, last), HALF)
 
 
 class TestShapleyShubik:
@@ -173,6 +211,70 @@ class TestBanzhaf:
         # winning, a count past the int64 range
         game = WeightedVotingGame((70,) + (1,) * 64, HALF)
         assert banzhaf(game)[0] == 1
+
+
+class TestPivotCounts:
+    @pytest.mark.parametrize(
+        "m, bar, values, moduli",
+        [
+            (60, 300, (3, 7, 11), 0),
+            (67, 400, (5, 9, 14), 0),  # C(66, 33) < 2^63: the last single-layer size
+            (68, 400, (5, 9, 14), 1),
+            (70, 511, (8, 13, 15), 1),  # width 512: moduli below 2^54
+            (70, 512, (8, 13, 15), 1),  # width 513: moduli below 2^53
+            (120, 1023, (12, 17, 19), 1),  # width 1024, one modulus below 2^53
+            (120, 1024, (12, 17, 19), 2),  # width 1025: moduli below 2^52, two needed
+            (120, 8000, (120, 131, 140), 2),  # weight total about 16,000
+        ],
+    )
+    def test_equal_reference_at_layer_edges(self, m, bar, values, moduli):
+        game = game_at_bar(m, bar, values, seed=m + bar)
+        assert game.bar == bar and len(_moduli(m, bar + 1)) == moduli
+        assert _pivot_counts_by_size(game) == reference_pivots(game)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        st.integers(60, 120),
+        st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True).filter(any),
+        st.sampled_from([HALF, F(2, 3), F(37, 50), F(99, 100)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equal_reference_property(self, m, values, quota, seed):
+        weights = np.random.default_rng(seed).choice(values, m).tolist()
+        if not any(weights):
+            weights[0] = max(values)
+        game = WeightedVotingGame(tuple(weights), quota)
+        assert _pivot_counts_by_size(game) == reference_pivots(game)
+
+    @pytest.mark.parametrize("m, moduli", [(28, 0), (70, 1), (120, 2)])
+    def test_edited_tables_equal_fresh_tables(self, m, moduli):
+        # residues stay reduced into [0, p) through removals and additions,
+        # including players at or past the table's width
+        rng = np.random.default_rng(m)
+        weights = [int(w) for w in rng.integers(0, 40, m)]
+        width = 1025 if m == 120 else 400
+        assert len(_moduli(m, width)) == moduli
+        table = power._cumulative_table(weights, width)
+        for i, new in [(0, 39), (1, 0), (2, 1024), (3, 7)]:
+            power._remove_player(table, weights[i])
+            power._add_player(table, new)
+            weights[i] = new
+            assert np.array_equal(table, power._cumulative_table(weights, width))
+
+    def test_one_pass_per_game(self, monkeypatch):
+        built = []
+        table = power._cumulative_table
+        monkeypatch.setattr(power, "_cumulative_table", lambda weights, width: built.append(1) or table(weights, width))
+        game = game_at_bar(70, 500, (1, 29), seed=3)
+        twin = WeightedVotingGame(game.weights, game.quota_ratio)
+        shapley_shubik(game)
+        banzhaf(game)
+        assert len(built) == 1
+        # the cached pass is no field: equality, hash and text ignore it
+        assert twin == game and hash(twin) == hash(game)
+        assert repr(twin) == repr(game) and twin.to_text() == game.to_text()
+        assert (shapley_shubik(twin), banzhaf(twin)) == (shapley_shubik(game), banzhaf(game))
+        assert len(built) == 2
 
 
 class TestPenrose:
