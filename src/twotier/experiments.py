@@ -186,36 +186,22 @@ class ExperimentConfig:
         solver_max_steps, solver_seed (defaults to seed), solver_method,
         output.  Any other key is an error.
         """
+        fields = {"federation": "federation_path", "quota": "quota_ratio", "t_grid": "t_grid",
+                  "replications": "replications", "seed": "seed", "rules": "rules", "weight_total": "weight_total",
+                  "output": "output_path"}
+        solver_fields = {"solver_bound": "weight_sum_bound", "solver_restarts": "restarts",
+                         "solver_max_steps": "max_steps", "solver_seed": "seed", "solver_method": "method"}
         integer = dict.fromkeys(("replications", "seed", "weight_total", "solver_bound", "solver_restarts",
                                  "solver_max_steps", "solver_seed"), int)
         raw = parse_key_values(
             path,
             required=("federation", "quota", "t_grid", "replications", "seed"),
-            optional=("rules", "weight_total", "solver_bound", "solver_restarts", "solver_max_steps", "solver_seed",
-                      "solver_method", "output"),
-            convert={**integer, "quota": Fraction, "t_grid": lambda text: tuple(map(float, text.split(",")))},
+            optional=("rules", "weight_total", "output", *solver_fields),
+            convert={**integer, "quota": Fraction, "t_grid": lambda text: tuple(map(float, text.split(","))),
+                     "rules": lambda text: tuple(part.strip() for part in text.split(",") if part.strip())},
         )
-        solver = InverseSolverOptions(
-            weight_sum_bound=raw.get("solver_bound", 100),
-            restarts=raw.get("solver_restarts", 25),
-            max_steps=raw.get("solver_max_steps", 500),
-            seed=raw.get("solver_seed", raw["seed"]),
-            method=raw.get("solver_method", "auto"),
-        )
-        rules = tuple(
-            part.strip() for part in raw.get("rules", "proportional,shapley_inverse").split(",") if part.strip()
-        )
-        return cls(
-            federation_path=raw["federation"],
-            quota_ratio=raw["quota"],
-            t_grid=raw["t_grid"],
-            replications=raw["replications"],
-            seed=raw["seed"],
-            rules=rules,
-            weight_total=raw.get("weight_total", 1000),
-            solver=solver,
-            output_path=raw.get("output", "results.csv"),
-        )
+        solver = {"seed": raw["seed"], **{solver_fields[key]: v for key, v in raw.items() if key in solver_fields}}
+        return cls(**{fields[key]: v for key, v in raw.items() if key in fields}, solver=InverseSolverOptions(**solver))
 
 
 def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = (), convert: Mapping = {}) -> dict:

@@ -28,6 +28,7 @@ from .power import (
     _check_budget,
     _cumulative_table,
     _exact_pivots,
+    _moduli,
     _pivot_orderings,
     _remove_player,
     shapley_shubik,
@@ -322,9 +323,7 @@ class _NeighbourKeys:
     def of(self, vec: tuple[int, ...]) -> int:
         """Key of one vector, such as the start of a descent."""
         if vec not in self.cache:
-            game = WeightedVotingGame(vec, self.quota)
-            _check_budget(game.num_players, game.total_weight)
-            self._cache_keys([vec], game._pivots)
+            self._cache_keys([vec], WeightedVotingGame(vec, self.quota)._pivots)
         return self.cache[vec]
 
     def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -340,7 +339,6 @@ class _NeighbourKeys:
                     continue
                 moves.append(neighbour)
                 if neighbour not in self.cache:
-                    _check_budget(len(neighbour), total + delta)
                     pending.setdefault((delta, w), []).append(neighbour)
         if pending:
             self._score_step(current, total, pending)
@@ -351,9 +349,13 @@ class _NeighbourKeys:
         self, current: tuple[int, ...], total: int, pending: dict[tuple[int, int], list[tuple[int, ...]]]
     ) -> None:
         """Cache the keys of every neighbour in ``pending``, one edited
-        table per (delta, u), stacked and gathered in chunks."""
-        cap_up = (self.quota.numerator * (total + 1)) // self.quota.denominator
-        table = _cumulative_table(current, cap_up + 1)
+        table per (delta, u), stacked and gathered in chunks; refused past
+        the DP budget of either direction's weight total."""
+        for delta in {d for d, _ in pending}:
+            _check_budget(len(current), total + delta)
+        width = (self.quota.numerator * (total + 1)) // self.quota.denominator + 1
+        moduli = _moduli(len(current), width)
+        table = _cumulative_table(current, width)
         size = min(max(1, _STACK_BYTES // table.nbytes), len(pending))
         buffer = np.empty((size, *table.shape), dtype=table.dtype)  # reused by every chunk
         for delta in (1, -1):
@@ -363,8 +365,8 @@ class _NeighbourKeys:
                 stack = buffer[: len(chunk)]
                 for edited, (u, _) in zip(stack, chunk):
                     edited[...] = table
-                    _remove_player(edited, u)
-                    _add_player(edited, u + delta)
+                    _remove_player(edited, u, moduli)
+                    _add_player(edited, u + delta, moduli)
                 weights = set().union(*(vecs[0] for _, vecs in chunk))
                 pivots = _exact_pivots(stack, weights, self.quota, total + delta)
                 for row, (_, vecs) in enumerate(chunk):

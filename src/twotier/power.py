@@ -23,11 +23,10 @@ __all__ = [
     "shapley_permutation_oracle",
     "banzhaf",
     "penrose_decisiveness",
-    "DEFAULT_DP_BUDGET",
 ]
 
 # cap on num_players * total_weight; the DP table holds about that many cells
-DEFAULT_DP_BUDGET = 2_000_000
+_DP_BUDGET = 2_000_000
 
 
 def _moduli(num_players: int, width: int) -> tuple[int, ...]:
@@ -61,7 +60,7 @@ def _fold(layers: np.ndarray, moduli: Sequence[int]) -> None:
     """Map residues that a sum left in [0, 2p) back into [0, p), in place,
     layer by layer.  Read as uint64, x - p wraps past 2^63 when x < p, so
     the smaller of x and x - p is the residue (faster than ``%``)."""
-    for layer, p in zip(layers, moduli):
+    for p, layer in zip(moduli, layers):  # moduli first: with none, zip never steps into the array
         u = layer.view(np.uint64)
         np.minimum(u, u - np.uint64(p), out=u)
 
@@ -73,59 +72,50 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     ``_gather_pivots`` clips a flat index below that row to its first cell,
     so C[s-k] reads 0 for every k > s.
 
-    One knapsack pass over (coalition size, coalition weight) counts the
-    coalitions in O(m^2 * width) per layer, and a running sum over weight
-    makes the counts cumulative.  A player of weight >= width is in no
-    coalition counted and is skipped, here and by
-    ``_add_player``/``_remove_player``.  Layer 0 holds the counts mod 2^64;
-    the layers of ``_moduli(m, width)``, none up to 67 players, hold them
-    mod each modulus, reduced after every add.  ``_exact_pivots`` rebuilds
-    exact counts from the layers.
+    The table is the table of no players, whose one empty coalition makes
+    row 0 all ones, plus one ``_add_player`` per player on the rows that
+    can be non-zero so far: O(m^2 * width) per layer in all.  Layer 0 holds
+    the counts mod 2^64; the layers of ``_moduli(m, width)``, none up to 67
+    players, hold them mod each modulus.  The moduli are worked out once
+    per table and passed to every add; a caller that edits the table
+    passes the same moduli to ``_add_player`` and ``_remove_player``.
+    ``_exact_pivots`` rebuilds exact counts from the layers.
     """
     m = len(weights)
     moduli = _moduli(m, width)
     padded = np.zeros((1 + len(moduli), m + 2, width), dtype=np.int64)
-    table = padded[:, 1:]
-    table[:, 0, 0] = 1
-    filled = 0  # rows 0..filled may hold non-zero counts
-    for w in weights:
-        if w >= width:
-            continue
-        filled += 1
-        # numpy buffers the overlapping operand, so this reads the old rows
-        table[:, 1 : filled + 1, w:] += table[:, 0:filled, : width - w]
-        if moduli:
-            _fold(table[1:, 1 : filled + 1, w:], moduli)
-    np.cumsum(table, axis=2, out=table)
-    for layer, p in zip(table[1:], moduli):
-        layer %= p
+    padded[:, 1] = 1
+    for rows, w in enumerate(weights, 3):
+        _add_player(padded[:, :rows], w, moduli)
     return padded
 
 
-def _add_player(padded: np.ndarray, w: int) -> None:
+def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
     """Add a player of weight w to a cumulative table in place, in
-    O(m * width) per layer:  C'[s][x] = C[s][x] + C[s-1][x-w]."""
-    m, width = padded.shape[1] - 2, padded.shape[2]
+    O(m * width) per layer:  C'[s][x] = C[s][x] + C[s-1][x-w], each
+    residue layer reduced mod its modulus.  A player of weight >= width is
+    in no coalition counted and changes nothing, here and in
+    ``_remove_player``."""
+    width = padded.shape[2]
     if w < width:
-        table = padded[:, 1:]
-        table[:, 1:, w:] += table[:, :-1, : width - w]
-        moduli = _moduli(m, width)
-        if moduli:
-            _fold(table[1:, 1:, w:], moduli)
+        # rows 1.. of ``padded`` are sizes 0..; numpy buffers the
+        # overlapping operand, so this reads the old rows
+        padded[:, 2:, w:] += padded[:, 1:-1, : width - w]
+        _fold(padded[1:, 2:, w:], moduli)
 
 
-def _remove_player(padded: np.ndarray, w: int) -> None:
+def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
     """Remove a player of weight w from a cumulative table in place, in
-    O(m * width) per layer: the same recurrence solved row by row for the
-    table without it,  C'[s][x] = C[s][x] - C'[s-1][x-w].  A residue row s
-    stays within s + 1 moduli of 0, inside int64 by the bound of
-    ``_moduli``, so each residue layer is reduced once, at the end."""
-    m, width = padded.shape[1] - 2, padded.shape[2]
+    O(m * width) per layer: the recurrence of ``_add_player`` solved row by
+    row, all layers at once, for the table without it,
+    C'[s][x] = C[s][x] - C'[s-1][x-w].  A residue row s stays within s + 1
+    moduli of 0, inside int64 by the bound of ``_moduli``, so each residue
+    layer is reduced once, at the end."""
+    width = padded.shape[2]
     if w < width:
-        for table in padded[:, 1:]:
-            for s in range(1, m + 1):
-                table[s, w:] -= table[s - 1, : width - w]
-        for layer, p in zip(padded[1:], _moduli(m, width)):
+        for s in range(2, padded.shape[1]):  # sizes 1..m
+            padded[:, s, w:] -= padded[:, s - 1, : width - w]
+        for p, layer in zip(moduli, padded[1:]):
             layer %= p
 
 
@@ -203,8 +193,10 @@ def _exact_pivots(
 
 def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[int, ...]]:
     """Pivots by coalition size for each distinct weight of the game, from a
-    table that reaches exactly the largest losing weight.  Every index reads
-    them once per game, through ``WeightedVotingGame._pivots``."""
+    table that reaches exactly the largest losing weight, refused past the
+    DP budget.  Every index reads them once per game, through
+    ``WeightedVotingGame._pivots``."""
+    _check_budget(game.num_players, game.total_weight)
     table = _cumulative_table(game.weights, game.bar + 1)
     pivots = _exact_pivots(table[None], game.weights, game.quota_ratio, game.total_weight)
     return {w: tuple(counts[0]) for w, counts in pivots.items()}
@@ -221,10 +213,8 @@ def _pivot_orderings(num_players: int) -> list[int]:
 
 def _check_budget(num_players: int, total_weight: int) -> None:
     cost = num_players * total_weight
-    if cost > DEFAULT_DP_BUDGET:
-        raise ResourceLimitError(
-            f"num_players * total_weight = {cost} exceeds budget {DEFAULT_DP_BUDGET}"
-        )
+    if cost > _DP_BUDGET:
+        raise ResourceLimitError(f"num_players * total_weight = {cost} exceeds budget {_DP_BUDGET}")
 
 
 def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:
@@ -235,7 +225,6 @@ def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     (size, weight) are weighted with |S|! * (m-|S|-1)! / m! in exact rational
     arithmetic, so the result carries no floating-point error.
     """
-    _check_budget(game.num_players, game.total_weight)
     coeff = _pivot_orderings(game.num_players)
     m_fact = math.factorial(game.num_players)
     values = {
@@ -271,7 +260,6 @@ def shapley_permutation_oracle(game: WeightedVotingGame) -> tuple[Fraction, ...]
 def banzhaf(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     """Raw Banzhaf measure: P(player i is critical) when every other player
     joins independently with probability 1/2.  Not normalized."""
-    _check_budget(game.num_players, game.total_weight)
     m = game.num_players
     denominator = 2 ** (m - 1)
     # summed as Python ints: a player's swings reach 2^(m-1), past int64 at m = 65

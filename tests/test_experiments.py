@@ -131,6 +131,12 @@ class TestExperimentConfig:
         config = ExperimentConfig.from_file(config_path)
         assert (config.seed, config.solver.seed) == (9, 4)
 
+    def test_defaults_come_from_the_dataclasses(self, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("federation = f.csv\nquota = 2/3\nt_grid = 1, 5\nreplications = 10\nseed = 9\n")
+        expected = ExperimentConfig("f.csv", F(2, 3), (1.0, 5.0), 10, 9, solver=InverseSolverOptions(seed=9))
+        assert ExperimentConfig.from_file(config_path) == expected
+
     def test_unknown_key(self, tmp_path):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(

@@ -499,6 +499,19 @@ class TestNeighbourKeys:
         assert set(keys.cache) == seen
         assert len(keyed) == len(seen)  # each vector keyed once
 
+    def test_budget_guard(self):
+        # two players: a start of weight sum 1,000,001 needs 2,000,002 cells,
+        # past the DP budget of 2 * 10^6
+        with pytest.raises(ResourceLimitError):
+            solve_local_search(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=1_000_001))
+        # at 1,000,000 the start is within the budget and scored; its +1
+        # neighbours are refused before any table is built
+        keys = _NeighbourKeys(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=1_000_000))
+        assert keys.of((500_000, 500_000)) == 0
+        with mock.patch.object(inverse, "_cumulative_table", side_effect=AssertionError("built")):
+            with pytest.raises(ResourceLimitError):
+                list(keys.neighbours((500_000, 500_000)))
+
 
 class TestSolve:
     def test_auto_picks_by_player_count(self):

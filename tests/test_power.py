@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ def reference_pivots(game):
         chunks = [(row >> low * m) & window for row in rows]
         pivots[w] = tuple(sum((c >> k * m) & slot for k in range(bar + 1 - low)) for c in chunks)
     return pivots
+
+
+def reference_table(weights, width):
+    """Cumulative counts of coalitions of ``weights`` by size s (row s) and
+    weight <= x for x < width, in plain Python ints: a knapsack whose row s
+    packs the counts of size s by weight 0..width-1 into one int, whole
+    bytes per weight with room for any count below 2^m, then a running sum
+    over each row."""
+    size = len(weights) // 8 + 1  # bytes per weight
+    bits = 8 * size
+    mask = (1 << bits * width) - 1
+    rows = [1] + [0] * len(weights)
+    for filled, v in enumerate(weights, 1):
+        for s in range(filled, 0, -1):
+            rows[s] = (rows[s] + (rows[s - 1] << v * bits)) & mask
+    table = []
+    for row in rows:
+        packed = row.to_bytes(size * width, "little")
+        table.append(list(accumulate(int.from_bytes(packed[x * size : (x + 1) * size], "little") for x in range(width))))
+    return table
 
 
 def game_at_bar(m, bar, values, seed):
@@ -231,6 +252,13 @@ class TestPivotCounts:
         game = game_at_bar(m, bar, values, seed=m + bar)
         assert game.bar == bar and len(_moduli(m, bar + 1)) == moduli
         assert _pivot_counts_by_size(game) == reference_pivots(game)
+        # every cell of the whole table, those no gather reads included:
+        # layer 0 holds the counts mod 2^64, each residue layer mod its modulus
+        table = power._cumulative_table(game.weights, bar + 1)
+        counts = reference_table(game.weights, bar + 1)
+        assert table.shape[0] == 1 + moduli and not table[:, 0].any()
+        for layer, modulus in zip(table, (1 << 64, *_moduli(m, bar + 1))):
+            assert layer[1:].astype(np.uint64).tolist() == [[c % modulus for c in row] for row in counts]
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -253,11 +281,12 @@ class TestPivotCounts:
         rng = np.random.default_rng(m)
         weights = [int(w) for w in rng.integers(0, 40, m)]
         width = 1025 if m == 120 else 400
-        assert len(_moduli(m, width)) == moduli
+        layers = _moduli(m, width)
+        assert len(layers) == moduli
         table = power._cumulative_table(weights, width)
         for i, new in [(0, 39), (1, 0), (2, 1024), (3, 7)]:
-            power._remove_player(table, weights[i])
-            power._add_player(table, new)
+            power._remove_player(table, weights[i], layers)
+            power._add_player(table, new, layers)
             weights[i] = new
             assert np.array_equal(table, power._cumulative_table(weights, width))
 
