@@ -50,18 +50,12 @@ def _cmd_inverse(args) -> int:
         fed = load_federation(args.federation)
         target = fed.shares()
     elif args.target:
-        target = tuple(Fraction(part.strip()) for part in args.target.split(","))
+        target = tuple(args.target.split(","))
     else:
         raise ValueError("give a target vector or --federation CSV")
-    spec = InverseProblemSpec(
-        target=target,
-        quota_ratio=Fraction(args.quota),
-        norm=args.norm,
-        weight_sum_bound=args.bound,
-        restarts=args.restarts,
-        max_steps=args.max_steps,
-        seed=args.seed,
-    )
+    fields = InverseProblemSpec.__dataclass_fields__.keys() - {"target"}
+    options = {name: value for name, value in vars(args).items() if name in fields}  # the flags given
+    spec = InverseProblemSpec(target=target, **options)
     solution = solve(spec, args.method)
     print(f"game: {solution.game.to_text()}")
     print(f"method: {solution.method}  certified: {solution.optimality_certified}")
@@ -74,7 +68,7 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    enumeration = enumerate_game_classes(args.players, Fraction(args.quota), args.bound)
+    enumeration = enumerate_game_classes(args.players, args.quota, args.bound)
     print(
         f"{enumeration.count} structurally distinct games with {args.players} players, "
         f"quota {enumeration.quota_ratio}, weights up to {args.bound}"
@@ -126,16 +120,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_power.add_argument("--oracle", action="store_true", help="use the m! permutation oracle")
     p_power.set_defaults(func=_cmd_power)
 
-    p_inv = sub.add_parser("inverse", help="find a game approximating a target power vector")
-    p_inv.add_argument("target", nargs="?", help="comma-separated shares, e.g. '0.42,0.25,0.24,0.09'")
-    p_inv.add_argument("--federation", help="take the target from a federation CSV instead")
-    p_inv.add_argument("--quota", default="1/2", help="relative quota as an exact fraction (default 1/2)")
-    p_inv.add_argument("--norm", default="l1", choices=("l1", "l2", "linf"))
-    p_inv.add_argument("--bound", type=int, default=100, help="weight sum bound (default 100)")
+    # a flag without a default of its own is absent from args when left out,
+    # so the InverseProblemSpec field it sets keeps the spec's default
+    p_inv = sub.add_parser(
+        "inverse", help="find a game approximating a target power vector", argument_default=argparse.SUPPRESS
+    )
+    p_inv.add_argument("target", nargs="?", default=None, help="comma-separated shares, e.g. '0.42,0.25,0.24,0.09'")
+    p_inv.add_argument("--federation", default=None, help="take the target from a federation CSV instead")
+    p_inv.add_argument("--quota", dest="quota_ratio", metavar="QUOTA",
+                       help=f"relative quota as an exact fraction (default {InverseProblemSpec.quota_ratio})")
+    p_inv.add_argument("--norm", choices=("l1", "l2", "linf"))
+    p_inv.add_argument("--bound", dest="weight_sum_bound", metavar="BOUND", type=int,
+                       help=f"weight sum bound (default {InverseProblemSpec.weight_sum_bound})")
     p_inv.add_argument("--method", default="auto", choices=SOLVER_METHODS)
-    p_inv.add_argument("--restarts", type=int, default=25)
-    p_inv.add_argument("--max-steps", type=int, default=500)
-    p_inv.add_argument("--seed", type=int, default=0)
+    p_inv.add_argument("--restarts", type=int)
+    p_inv.add_argument("--max-steps", type=int)
+    p_inv.add_argument("--seed", type=int)
     p_inv.set_defaults(func=_cmd_inverse)
 
     p_enum = sub.add_parser("enumerate", help="distinct game classes on a weight grid")

@@ -43,6 +43,12 @@ class ResourceLimitError(RuntimeError):
     """An exact computation would exceed its fixed resource limit."""
 
 
+def _bar(quota: Fraction, total: int) -> int:
+    """Largest losing coalition weight, floor(quota * total), of a game of
+    weight total ``total``: an integer weight wins iff it exceeds the bar."""
+    return quota.numerator * total // quota.denominator
+
+
 def _integer_at_least(name: str, value, minimum: int) -> int:
     """``value`` as an int, or ValueError naming ``name`` when it is not an
     integer (a bool, or a float even with an integral value) or is below
@@ -68,7 +74,10 @@ def exact_quota(value: Fraction | str | int) -> Fraction:
             "quota must be a Fraction, string, or integer ratio, not float; "
             "pass e.g. Fraction(74, 100) or '0.74' for exactness"
         )
-    quota = value if type(value) is Fraction else Fraction(value)
+    try:
+        quota = value if type(value) is Fraction else Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"quota {value!r} has a zero denominator") from None
     if not quota.denominator <= 2 * quota.numerator < 2 * quota.denominator:
         raise ValueError(f"quota must satisfy 1/2 <= q < 1, got {quota}")
     return quota
@@ -105,10 +114,8 @@ class WeightedVotingGame:
 
     @cached_property
     def bar(self) -> int:
-        """Largest losing coalition weight, floor(quota_ratio * total_weight):
-        an integer weight wins iff it exceeds the bar."""
-        quota = self.quota_ratio
-        return quota.numerator * self.total_weight // quota.denominator
+        """Largest losing coalition weight, ``_bar(quota_ratio, total_weight)``."""
+        return _bar(self.quota_ratio, self.total_weight)
 
     @cached_property
     def _pivots(self) -> Mapping[int, tuple[int, ...]]:
@@ -293,8 +300,7 @@ def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tupl
     for total in range(1, max_total + 1):
         vecs = _descending_partitions(total, parts, cap)
         scanned += len(vecs)
-        bar = quota.numerator * total // quota.denominator
-        packed = np.packbits(_minimal_winning_rows(vecs, bar), axis=1)
+        packed = np.packbits(_minimal_winning_rows(vecs, _bar(quota, total)), axis=1)
         data, width = packed.tobytes(), packed.shape[1]
         for row in range(len(vecs)):
             key = data[row * width : (row + 1) * width]

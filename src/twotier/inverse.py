@@ -23,16 +23,7 @@ import numpy as np
 
 from .games import WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
 from .games import _class_firsts, _integer_at_least
-from .power import (
-    _add_player,
-    _check_budget,
-    _cumulative_table,
-    _exact_pivots,
-    _moduli,
-    _pivot_orderings,
-    _remove_player,
-    shapley_shubik,
-)
+from .power import _moved_pivots, _pivot_orderings, shapley_shubik
 
 __all__ = [
     "SOLVER_METHODS",
@@ -152,7 +143,10 @@ class InverseProblemSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        raw = [Fraction(t) for t in self.target]
+        try:
+            raw = [Fraction(t) for t in self.target]
+        except ZeroDivisionError:
+            raise ValueError(f"target {self.target} has a zero denominator") from None
         if len(raw) < 1:
             raise ValueError("target must have at least one component")
         if any(t < 0 for t in raw):
@@ -285,27 +279,12 @@ def _initial_points(spec: InverseProblemSpec) -> Iterable[tuple[int, ...]]:
         yield _align_to_target(rounded, spec.target)
 
 
-# bytes of edited tables stacked for one gather; bounds the memory a descent
-# step adds
-_STACK_BYTES = 1 << 19
-
-
 class _NeighbourKeys:
     """Exact distance keys of weight vectors for one inverse problem,
-    cached by vector: ``_numerator_key`` of the game's index numerators.
-
-    A descent step scores its uncached +-1 neighbours together.  The
-    neighbours that change a player of weight u by delta have the same
-    weight multiset, so they share one edited table: the cumulative (size,
-    weight) table of the current vector, built once per step wide enough
-    for the largest losing weight of the +1 neighbours, with u removed and
-    u + delta added (O(m * cap) per edit instead of O(m^2 * cap) for a fresh
-    table), and one set of pivots by weight.  All tables of one delta share
-    the total, hence the cap and every gather offset, so they are stacked
-    (at most ``_STACK_BYTES`` at a time) and gathered once per weight in
-    the stack.  The key comes from the integer numerators, with no Fraction
-    built.  Only keys are cached, no tables.
-    """
+    cached by vector: ``_numerator_key`` of the game's integer index
+    numerators, with no Fraction built.  A descent step keys its uncached
+    +-1 neighbours together, from the pivots ``power._moved_pivots`` yields
+    once per move (delta, u) for all that change a weight u by delta."""
 
     def __init__(self, spec: InverseProblemSpec):
         self.quota = spec.quota_ratio
@@ -316,7 +295,7 @@ class _NeighbourKeys:
     def _cache_keys(self, vecs: list[tuple[int, ...]], pivots: Mapping[int, Sequence[int]]) -> None:
         """Cache the keys of ``vecs``, vectors of one weight multiset whose
         pivots by size, per weight, are ``pivots``."""
-        numerators = {w: sum(map(mul, pivots[w], self.orderings)) for w in set(vecs[0])}
+        numerators = {w: sum(map(mul, counts, self.orderings)) for w, counts in pivots.items()}
         for vec in vecs:
             self.cache[vec] = self.numerator_key([numerators[w] for w in vec])
 
@@ -329,7 +308,6 @@ class _NeighbourKeys:
     def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each +-1 neighbour of ``current`` (weights non-negative, not all
         zero) with its key, player by player, +1 before -1."""
-        total = sum(current)
         moves = []
         pending: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # (delta, u) -> uncached neighbours
         for i, w in enumerate(current):
@@ -340,37 +318,10 @@ class _NeighbourKeys:
                 moves.append(neighbour)
                 if neighbour not in self.cache:
                     pending.setdefault((delta, w), []).append(neighbour)
-        if pending:
-            self._score_step(current, total, pending)
+        for move, pivots in _moved_pivots(current, self.quota, pending):
+            self._cache_keys(pending[move], pivots)
         for neighbour in moves:
             yield neighbour, self.cache[neighbour]
-
-    def _score_step(
-        self, current: tuple[int, ...], total: int, pending: dict[tuple[int, int], list[tuple[int, ...]]]
-    ) -> None:
-        """Cache the keys of every neighbour in ``pending``, one edited
-        table per (delta, u), stacked and gathered in chunks; refused past
-        the DP budget of either direction's weight total."""
-        for delta in {d for d, _ in pending}:
-            _check_budget(len(current), total + delta)
-        width = (self.quota.numerator * (total + 1)) // self.quota.denominator + 1
-        moduli = _moduli(len(current), width)
-        table = _cumulative_table(current, width)
-        size = min(max(1, _STACK_BYTES // table.nbytes), len(pending))
-        buffer = np.empty((size, *table.shape), dtype=table.dtype)  # reused by every chunk
-        for delta in (1, -1):
-            groups = [(u, vecs) for (d, u), vecs in pending.items() if d == delta]
-            for first in range(0, len(groups), size):
-                chunk = groups[first : first + size]
-                stack = buffer[: len(chunk)]
-                for edited, (u, _) in zip(stack, chunk):
-                    edited[...] = table
-                    _remove_player(edited, u, moduli)
-                    _add_player(edited, u + delta, moduli)
-                weights = set().union(*(vecs[0] for _, vecs in chunk))
-                pivots = _exact_pivots(stack, weights, self.quota, total + delta)
-                for row, (_, vecs) in enumerate(chunk):
-                    self._cache_keys(vecs, {w: p[row] for w, p in pivots.items()})
 
 
 def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:

@@ -12,11 +12,11 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .games import ResourceLimitError, WeightedVotingGame
+from .games import ResourceLimitError, WeightedVotingGame, _bar
 
 __all__ = [
     "shapley_shubik",
@@ -27,6 +27,8 @@ __all__ = [
 
 # cap on num_players * total_weight; the DP table holds about that many cells
 _DP_BUDGET = 2_000_000
+# bytes of edited tables that ``_moved_pivots`` stacks for one gather
+_STACK_BYTES = 1 << 19
 
 
 def _moduli(num_players: int, width: int) -> tuple[int, ...]:
@@ -76,10 +78,8 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     row 0 all ones, plus one ``_add_player`` per player on the rows that
     can be non-zero so far: O(m^2 * width) per layer in all.  Layer 0 holds
     the counts mod 2^64; the layers of ``_moduli(m, width)``, none up to 67
-    players, hold them mod each modulus.  The moduli are worked out once
-    per table and passed to every add; a caller that edits the table
-    passes the same moduli to ``_add_player`` and ``_remove_player``.
-    ``_exact_pivots`` rebuilds exact counts from the layers.
+    players, hold them mod each modulus; ``_moved_pivots`` edits a table
+    with the same moduli, and ``_exact_pivots`` rebuilds exact counts.
     """
     m = len(weights)
     moduli = _moduli(m, width)
@@ -119,26 +119,22 @@ def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
             layer %= p
 
 
-def _gather_pivots(
-    stack: np.ndarray, weights: Iterable[int], quota: Fraction, total: int
-) -> dict[int, np.ndarray]:
+def _gather_pivots(stack: np.ndarray, weights: Iterable[int], bar: int) -> dict[int, np.ndarray]:
     """Map each weight w in ``weights`` to the counts, by |S|, of
     coalitions S without one player of weight w that the player turns
     winning: an array of shape (n, m) for a stack of n layers of cumulative
     tables, shape (n, m + 2, width), of games with the same player count
-    and the same total weight.
+    and the same largest losing weight ``bar`` (``games._bar``).
 
-    The tables must reach the largest losing weight cap.  Removing a player
-    of weight w obeys the knapsack recurrence, so the cumulative counts
-    without it are  Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]  over
+    The tables must reach the bar.  Removing a player of weight w obeys
+    the knapsack recurrence, so the cumulative counts without it are
+    Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]  over
     k <= min(m-1, x // w), and its pivots of size s are
-    Cw[s][cap] - Cw[s][low-1]: an O(m * min(m, cap/w)) gather per distinct
+    Cw[s][bar] - Cw[s][low-1]: an O(m * min(m, bar/w)) gather per distinct
     weight (Uno 2012), made for the whole stack at once.  The row of a
     table whose game has no player of weight w is meaningless.
     """
     n, m, ncols = stack.shape[0], stack.shape[1] - 2, stack.shape[2]
-    q_num, q_den = quota.numerator, quota.denominator
-    cap = (q_num * total) // q_den  # largest losing coalition weight
     flat = stack.reshape(n, -1)
     starts = ((1 + np.arange(m)) * ncols)[:, None]  # flat index of C[s][0]
     alt = (-1) ** np.arange(m)
@@ -149,21 +145,19 @@ def _gather_pivots(
         if w == 0:
             counts[w] = np.zeros((n, m), dtype=stack.dtype)  # a null player turns no coalition winning
             continue
-        low = (q_num * total - w * q_den) // q_den + 1  # lightest S that i turns winning
-        k_hi = min(m, cap // w + 1)
+        low = bar - w + 1  # lightest S that i turns winning: floor(q*T - w) + 1, w an integer
+        k_hi = min(m, bar // w + 1)
         k_lo = min(m, (low - 1) // w + 1) if low > 0 else 0
         step = ncols + w  # flat distance from C[s-k][x-k*w] to C[s-k-1][x-(k+1)*w]
-        # C[s-k][low-1-k*w] for k = k_lo-1 down to 0, then C[s-k][cap-k*w] for k < k_hi
-        offsets = [*range(low - 1 - step * (k_lo - 1), low, step), *range(cap, cap - step * k_hi, -step)]
+        # C[s-k][low-1-k*w] for k = k_lo-1 down to 0, then C[s-k][bar-k*w] for k < k_hi
+        offsets = [*range(low - 1 - step * (k_lo - 1), low, step), *range(bar, bar - step * k_hi, -step)]
         # exact mod 2^64 on layer 0, where int64 sums wrap, and within 2m
         # moduli of 0 on a residue layer (see ``_moduli``)
         counts[w] = flat.take(starts + offsets, axis=1, mode="clip") @ signs[m - k_lo : m + k_hi]
     return counts
 
 
-def _exact_pivots(
-    stack: np.ndarray, weights: Iterable[int], quota: Fraction, total: int
-) -> dict[int, list[list[int]]]:
+def _exact_pivots(stack: np.ndarray, weights: Iterable[int], bar: int) -> dict[int, list[list[int]]]:
     """``_gather_pivots`` of a stack of n cumulative tables of the same
     shape, (n, layers, m + 2, width), as exact Python ints: each weight's
     pivots by size in n lists.  The layers go to the gather as extra
@@ -173,7 +167,7 @@ def _exact_pivots(
     from its residues."""
     n, layers, rows, width = stack.shape
     m = rows - 2
-    gathered = _gather_pivots(stack.reshape(n * layers, rows, width), weights, quota, total)
+    gathered = _gather_pivots(stack.reshape(n * layers, rows, width), weights, bar)
     moduli = _moduli(m, width)
     if not moduli:
         return {w: counts.tolist() for w, counts in gathered.items()}
@@ -198,8 +192,50 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[int, ...]
     ``WeightedVotingGame._pivots``."""
     _check_budget(game.num_players, game.total_weight)
     table = _cumulative_table(game.weights, game.bar + 1)
-    pivots = _exact_pivots(table[None], game.weights, game.quota_ratio, game.total_weight)
+    pivots = _exact_pivots(table[None], game.weights, game.bar)
     return {w: tuple(counts[0]) for w, counts in pivots.items()}
+
+
+def _moved_pivots(
+    weights: Sequence[int], quota: Fraction, moves: Collection[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], dict[int, list[int]]]]:
+    """For each move (delta, u) of ``moves``, distinct pairs of delta = +-1
+    and a weight u of ``weights`` that leave some weight positive, +1 moves
+    first: the move and the pivots by size, per weight, of the game of
+    ``weights`` with one player of weight u changed to u + delta.
+
+    Both directions' totals pass the DP budget before the table of
+    ``weights`` is built, once, wide enough for the bar of the +1 games.
+    Each move's table is a copy with u removed and u + delta added, in
+    O(m * width), not O(m^2 * width) for a fresh one.  The games of one
+    delta share the bar and so every gather offset: their tables are
+    stacked, ``_STACK_BYTES`` at a time, and gathered once per weight.
+    """
+    if not moves:
+        return
+    m, total = len(weights), sum(weights)
+    for delta in {d for d, _ in moves}:
+        _check_budget(m, total + delta)
+    width = _bar(quota, total + 1) + 1
+    moduli = _moduli(m, width)
+    table = _cumulative_table(weights, width)
+    size = min(max(1, _STACK_BYTES // table.nbytes), len(moves))
+    buffer = np.empty((size, *table.shape), dtype=table.dtype)  # reused by every stack
+    for delta in (1, -1):
+        same = [move for move in moves if move[0] == delta]
+        for first in range(0, len(same), size):
+            chunk = same[first : first + size]
+            stack = buffer[: len(chunk)]
+            games = []  # the distinct weights of each moved game
+            for edited, (_, u) in zip(stack, chunk):
+                edited[...] = table
+                _remove_player(edited, u, moduli)
+                _add_player(edited, u + delta, moduli)
+                i = weights.index(u)
+                games.append({*weights[:i], *weights[i + 1 :], u + delta})
+            pivots = _exact_pivots(stack, set().union(*games), _bar(quota, total + delta))
+            for row, (move, present) in enumerate(zip(chunk, games)):
+                yield move, {w: pivots[w][row] for w in present}
 
 
 def _pivot_orderings(num_players: int) -> list[int]:

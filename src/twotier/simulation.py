@@ -115,7 +115,8 @@ class Distribution:
 
 @dataclass(frozen=True)
 class FederationSpec:
-    """Named constituencies with positive integer population sizes."""
+    """Named constituencies with positive integer population sizes.  Names
+    are distinct, non-empty and unpadded, as a federation CSV holds them."""
 
     names: tuple[str, ...]
     populations: tuple[int, ...]
@@ -127,6 +128,8 @@ class FederationSpec:
             raise ValueError("names and populations must have equal length")
         if len(populations) < 1:
             raise ValueError("a federation needs at least one constituency")
+        if len(set(names)) < len(names) or not all(name and name == name.strip() for name in names):
+            raise ValueError(f"constituency names must be distinct, non-empty and unpadded, got {names}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "populations", populations)
 
@@ -349,12 +352,15 @@ def estimate_pivot_probabilities(
     own RNG substream derived from (seed, block index), on one thread per
     available CPU; each thread holds about one block of positions.  The
     per-block counts are summed as integers, so the estimate is bit
-    identical to a serial run whatever the CPU count.
+    identical to a serial run whatever the CPU count.  Weight totals of
+    2^63 or more, past the pivot kernel's int64 sums, are refused.
     """
     replications = _integer_at_least("replications", replications, 1)
     seed = _integer_at_least("seed", seed, 0)
     if game.num_players != fed.num_constituencies:
         raise ValueError("game and federation must have matching sizes")
+    if game.total_weight >= 1 << 63:
+        raise ValueError(f"total weight {game.total_weight} is not below 2^63")
     counts = np.sum(_map_blocks(replications, partial(_block_pivot_counts, fed, game, model, seed)), axis=0)
     return PivotEstimate(tuple(int(c) for c in counts), replications, seed)
 

@@ -16,8 +16,9 @@ from twotier import (
     shapley_shubik,
     write_federation,
 )
-from twotier import simulation
+from twotier import cli, simulation
 from twotier.cli import main
+from twotier.inverse import InverseProblemSpec, solve
 from twotier.experiments import games_path_for
 
 F = Fraction
@@ -54,7 +55,7 @@ class TestLoadFederation:
 
     def test_duplicate_name(self, tmp_path):
         path = make_federation_csv(tmp_path / "fed.csv", ["A,1", "A,2"])
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="row 3: duplicate"):
             load_federation(path)
 
     def test_bad_header(self, tmp_path):
@@ -67,6 +68,17 @@ class TestLoadFederation:
         path = tmp_path / "fed.csv"
         write_federation(fed, path)
         assert load_federation(path) == fed
+
+    @pytest.mark.parametrize("names", [("A", "A"), ("A", ""), ("A", " B"), ("A\t", "B")])
+    def test_spec_refuses_names_that_do_not_round_trip(self, names):
+        # the reader strips names and refuses empty and repeated ones
+        with pytest.raises(ValueError, match="names must be distinct, non-empty and unpadded"):
+            FederationSpec(names, (1, 2))
+
+    def test_empty_name_names_row(self, tmp_path):
+        path = make_federation_csv(tmp_path / "fed.csv", ["A,1", " ,2"])
+        with pytest.raises(ValueError, match="row 3: empty constituency name"):
+            load_federation(path)
 
 
 class TestBuildWeights:
@@ -392,6 +404,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["inverse", "1/0,1"], "target ('1/0', '1')"),
+            (["inverse", "0.5,0.5", "--quota", "1/0"], "quota '1/0'"),
+            (["enumerate", "4", "1/0"], "quota '1/0'"),
+        ],
+    )
+    def test_zero_denominator_error(self, capsys, argv, what):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {what} has a zero denominator\n"
+
+    def test_inverse_flags_left_out_keep_spec_defaults(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda spec, method: calls.append((spec, method)) or solve(spec, method))
+        assert main(["inverse", "0.5,0.5"]) == 0
+        assert calls == [(InverseProblemSpec(target=(HALF, HALF)), "auto")]
 
     def test_missing_file_error(self, capsys):
         assert main(["simulate", "/nonexistent/sim.cfg"]) == 2

@@ -26,7 +26,7 @@ from twotier import (
     solve_exhaustive,
     solve_local_search,
 )
-from twotier import inverse
+from twotier import power
 from twotier import games as games_module
 from twotier.inverse import _NeighbourKeys, _numerator_key
 from twotier.power import _cumulative_table
@@ -405,7 +405,7 @@ def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6), 
         rest = sum(vec) - vec[0]
 
         def width(h):
-            return quota.numerator * (h + rest + 1) // quota.denominator + 1
+            return games_module._bar(quota, h + rest + 1) + 1
 
         outside = next(h for h in itertools.count() if h >= width(h))
         vec[0] = outside - draw(st.integers(0, 1))
@@ -428,11 +428,10 @@ def check_neighbour_keys(spec, vec, tables=None):
         if min(v) >= 0 and any(v):
             expected.append(v)
     keys = _NeighbourKeys(spec)
-    chunk_bytes = inverse._STACK_BYTES
+    chunk_bytes = power._STACK_BYTES
     if tables is not None:
-        cap_up = spec.quota_ratio.numerator * (sum(vec) + 1) // spec.quota_ratio.denominator
-        chunk_bytes = tables * _cumulative_table(vec, cap_up + 1).nbytes
-    with mock.patch.object(inverse, "_STACK_BYTES", chunk_bytes):
+        chunk_bytes = tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
+    with mock.patch.object(power, "_STACK_BYTES", chunk_bytes):
         scored = list(keys.neighbours(vec))
     assert [v for v, _ in scored] == expected
     assert [key for _, key in scored] == [fresh_key(spec, v) for v in expected]
@@ -508,7 +507,7 @@ class TestNeighbourKeys:
         # neighbours are refused before any table is built
         keys = _NeighbourKeys(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=1_000_000))
         assert keys.of((500_000, 500_000)) == 0
-        with mock.patch.object(inverse, "_cumulative_table", side_effect=AssertionError("built")):
+        with mock.patch.object(power, "_cumulative_table", side_effect=AssertionError("built")):
             with pytest.raises(ResourceLimitError):
                 list(keys.neighbours((500_000, 500_000)))
 

@@ -305,6 +305,18 @@ class TestEstimate:
         with pytest.raises(ValueError, match=name):
             ordering_match_rate(fed, model, **arguments)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (2**62, 2**62, 2**62, 1),  # an int64 sum wraps and would credit the null player 4
+            (2**63, 1),  # an int64 weight overflows
+        ],
+    )
+    def test_rejects_total_weight_past_int64(self, weights):
+        fed = FederationSpec.from_sizes((11,) * len(weights))
+        with pytest.raises(ValueError, match="2\\^63"):
+            estimate_pivot_probabilities(fed, WeightedVotingGame(weights, HALF), PreferenceModel(), 1000, 0)
+
     def test_single_constituency_always_pivotal(self):
         fed = FederationSpec.from_sizes((701,))
         game = WeightedVotingGame((5,), HALF)
