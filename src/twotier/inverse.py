@@ -55,6 +55,9 @@ def distance(values: Sequence, target: Sequence, norm: str = "l1") -> float:
     if len(values) != len(target):
         raise ValueError(f"length mismatch: {len(values)} vs {len(target)}")
     name = _norm_name(norm)
+    for label, vector in (("values", values), ("target", target)):
+        if not all(math.isfinite(x) for x in vector):
+            raise ValueError(f"{label} must be finite, got {list(vector)}")
     diffs = [abs(float(v) - float(t)) for v, t in zip(values, target)]
     if name == "l1":
         return math.fsum(diffs)
@@ -86,15 +89,26 @@ def _numerator_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[
     return key
 
 
+def _fractions(name: str, values: Sequence) -> list[Fraction]:
+    """``values`` as exact Fractions, or ValueError naming ``name`` for a
+    zero denominator or a value that is no finite number (inf, NaN, or a
+    string Fraction cannot parse)."""
+    try:
+        return [Fraction(v) for v in values]
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {values} has a zero denominator") from None
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be finite numbers, got {values}") from None
+
+
 def largest_remainder(shares: Sequence, total: int) -> list[int]:
     """Round non-negative shares to integers summing exactly to ``total``.
 
     Each entry gets the floor of its proportional quota; leftover units go
     to the largest fractional remainders (ties to the lower index).
     """
-    if total < 1:
-        raise ValueError("total must be positive")
-    exact = [Fraction(s) for s in shares]
+    total = _integer_at_least("total", total, 1)
+    exact = _fractions("shares", shares)
     if any(s < 0 for s in exact):
         raise ValueError("shares must be non-negative")
     pool = sum(exact)
@@ -143,10 +157,7 @@ class InverseProblemSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            raw = [Fraction(t) for t in self.target]
-        except ZeroDivisionError:
-            raise ValueError(f"target {self.target} has a zero denominator") from None
+        raw = _fractions("target", self.target)
         if len(raw) < 1:
             raise ValueError("target must have at least one component")
         if any(t < 0 for t in raw):
@@ -283,8 +294,9 @@ class _NeighbourKeys:
     """Exact distance keys of weight vectors for one inverse problem,
     cached by vector: ``_numerator_key`` of the game's integer index
     numerators, with no Fraction built.  A descent step keys its uncached
-    +-1 neighbours together, from the pivots ``power._moved_pivots`` yields
-    once per move (delta, u) for all that change a weight u by delta."""
+    +-1 neighbours together, from the numerators ``power._moved_pivots``
+    yields once per move (delta, u) for all that change a weight u by
+    delta."""
 
     def __init__(self, spec: InverseProblemSpec):
         self.quota = spec.quota_ratio
@@ -292,17 +304,17 @@ class _NeighbourKeys:
         self.orderings = _pivot_orderings(spec.num_players)
         self.cache: dict[tuple[int, ...], int] = {}
 
-    def _cache_keys(self, vecs: list[tuple[int, ...]], pivots: Mapping[int, Sequence[int]]) -> None:
+    def _cache_keys(self, vecs: list[tuple[int, ...]], numerators: Mapping[int, int]) -> None:
         """Cache the keys of ``vecs``, vectors of one weight multiset whose
-        pivots by size, per weight, are ``pivots``."""
-        numerators = {w: sum(map(mul, counts, self.orderings)) for w, counts in pivots.items()}
+        index numerators, per weight, are ``numerators``."""
         for vec in vecs:
             self.cache[vec] = self.numerator_key([numerators[w] for w in vec])
 
     def of(self, vec: tuple[int, ...]) -> int:
         """Key of one vector, such as the start of a descent."""
         if vec not in self.cache:
-            self._cache_keys([vec], WeightedVotingGame(vec, self.quota)._pivots)
+            pivots = WeightedVotingGame(vec, self.quota)._pivots
+            self._cache_keys([vec], {w: sum(map(mul, counts, self.orderings)) for w, counts in pivots.items()})
         return self.cache[vec]
 
     def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -318,8 +330,8 @@ class _NeighbourKeys:
                 moves.append(neighbour)
                 if neighbour not in self.cache:
                     pending.setdefault((delta, w), []).append(neighbour)
-        for move, pivots in _moved_pivots(current, self.quota, pending):
-            self._cache_keys(pending[move], pivots)
+        for move, numerators in _moved_pivots(current, self.quota, pending):
+            self._cache_keys(pending[move], numerators)
         for neighbour in moves:
             yield neighbour, self.cache[neighbour]
 

@@ -12,11 +12,11 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .games import ResourceLimitError, WeightedVotingGame, _bar
+from .games import ResourceLimitError, WeightedVotingGame, _bar, _integer_at_least
 
 __all__ = [
     "shapley_shubik",
@@ -27,7 +27,7 @@ __all__ = [
 
 # cap on num_players * total_weight; the DP table holds about that many cells
 _DP_BUDGET = 2_000_000
-# bytes of edited tables that ``_moved_pivots`` stacks for one gather
+# bytes of edited tables that ``_moved_pivots`` holds at once, its +1 and -1 stacks together
 _STACK_BYTES = 1 << 19
 
 
@@ -119,70 +119,89 @@ def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
             layer %= p
 
 
-def _gather_pivots(stack: np.ndarray, weights: Iterable[int], bar: int) -> dict[int, np.ndarray]:
-    """Map each weight w in ``weights`` to the counts, by |S|, of
-    coalitions S without one player of weight w that the player turns
-    winning: an array of shape (n, m) for a stack of n layers of cumulative
-    tables, shape (n, m + 2, width), of games with the same player count
-    and the same largest losing weight ``bar`` (``games._bar``).
+def _gather_plan(
+    weights: Iterable[int], bar: int, rows: int, ncols: int
+) -> dict[int, tuple[np.ndarray, np.ndarray] | None]:
+    """The gather of ``_gather_pivots`` for each weight w in ``weights``,
+    planned once for every stack of cumulative tables of ``rows`` rows
+    (m + 2) and ``ncols`` columns whose games have the same largest losing
+    weight ``bar`` (``games._bar``): the flat indices, shape (k, m), and the
+    signs, shape (k,), that give w's pivots by size; None for w = 0, whose
+    player turns no coalition winning.
 
-    The tables must reach the bar.  Removing a player of weight w obeys
-    the knapsack recurrence, so the cumulative counts without it are
+    Removing a player of weight w obeys the knapsack recurrence, so the
+    cumulative counts without it are
     Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]  over
     k <= min(m-1, x // w), and its pivots of size s are
     Cw[s][bar] - Cw[s][low-1]: an O(m * min(m, bar/w)) gather per distinct
-    weight (Uno 2012), made for the whole stack at once.  The row of a
-    table whose game has no player of weight w is meaningless.
+    weight (Uno 2012).  The tables must reach the bar.  Every weight's
+    indices come from one outer sum, of its offsets with each size's row.
     """
-    n, m, ncols = stack.shape[0], stack.shape[1] - 2, stack.shape[2]
-    flat = stack.reshape(n, -1)
-    starts = ((1 + np.arange(m)) * ncols)[:, None]  # flat index of C[s][0]
+    m = rows - 2
     alt = (-1) ** np.arange(m)
     # signs[m - k_lo : m + k_hi]: -(-1)^k for k = k_lo-1 down to 0, then (-1)^k for k < k_hi
     signs = np.concatenate((-alt[::-1], alt))
-    counts = {}
-    for w in set(weights):
-        if w == 0:
-            counts[w] = np.zeros((n, m), dtype=stack.dtype)  # a null player turns no coalition winning
-            continue
+    distinct = set(weights)
+    spans, offsets = {}, []
+    for w in distinct - {0}:
         low = bar - w + 1  # lightest S that i turns winning: floor(q*T - w) + 1, w an integer
         k_hi = min(m, bar // w + 1)
         k_lo = min(m, (low - 1) // w + 1) if low > 0 else 0
         step = ncols + w  # flat distance from C[s-k][x-k*w] to C[s-k-1][x-(k+1)*w]
+        spans[w] = len(offsets), k_lo, k_hi
         # C[s-k][low-1-k*w] for k = k_lo-1 down to 0, then C[s-k][bar-k*w] for k < k_hi
-        offsets = [*range(low - 1 - step * (k_lo - 1), low, step), *range(bar, bar - step * k_hi, -step)]
-        # exact mod 2^64 on layer 0, where int64 sums wrap, and within 2m
-        # moduli of 0 on a residue layer (see ``_moduli``)
-        counts[w] = flat.take(starts + offsets, axis=1, mode="clip") @ signs[m - k_lo : m + k_hi]
-    return counts
+        offsets += [*range(low - 1 - step * (k_lo - 1), low, step), *range(bar, bar - step * k_hi, -step)]
+    index = np.add.outer(offsets, (1 + np.arange(m)) * ncols)  # rows start at C[s][0]
+    plan = {w: (index[at : at + k_lo + k_hi], signs[m - k_lo : m + k_hi]) for w, (at, k_lo, k_hi) in spans.items()}
+    plan.update(dict.fromkeys(distinct & {0}))
+    return plan
+
+
+def _gather_pivots(stack: np.ndarray, plan: dict[int, tuple[np.ndarray, np.ndarray] | None]) -> dict[int, np.ndarray]:
+    """Apply a ``_gather_plan`` to a stack of n layers of cumulative tables,
+    shape (n, m + 2, width): each planned weight w maps to the counts, by
+    |S|, of coalitions S without one player of weight w that the player
+    turns winning, an array of shape (n, m).  The row of a table whose game
+    has no player of weight w is meaningless.  Each count is exact mod 2^64
+    on layer 0, where int64 sums wrap, and within 2m moduli of 0 on a
+    residue layer (see ``_moduli``)."""
+    n, m = stack.shape[0], stack.shape[1] - 2
+    flat = stack.reshape(n, -1)
+    zeros = np.zeros((n, m), dtype=stack.dtype)
+    return {
+        w: zeros if gather is None else gather[1] @ flat.take(gather[0], axis=1, mode="clip")
+        for w, gather in plan.items()
+    }
+
+
+def _exact_counts(counts: np.ndarray, moduli: Sequence[int]) -> list[list[int]]:
+    """Gathered counts of shape (n, layers, m) as n lists of exact Python
+    ints.  One layer is read as int64 as it is; past it, layer 0 is read as
+    uint64 (mod 2^64), the others are reduced mod their ``moduli``, and
+    Garner's form of the Chinese remainder theorem rebuilds each count from
+    its residues."""
+    if not moduli:
+        return counts[:, 0].tolist()
+    n, _, m = counts.shape
+    values = counts[:, 0].astype(np.uint64).ravel().tolist()
+    modulus = 1 << 64
+    for layer, p in enumerate(moduli, 1):
+        inverse = pow(modulus, -1, p)
+        residues = (counts[:, layer] % p).ravel().tolist()
+        values = [v + modulus * ((r - v) * inverse % p) for v, r in zip(values, residues)]
+        modulus *= p
+    return [values[row * m : (row + 1) * m] for row in range(n)]
 
 
 def _exact_pivots(stack: np.ndarray, weights: Iterable[int], bar: int) -> dict[int, list[list[int]]]:
     """``_gather_pivots`` of a stack of n cumulative tables of the same
-    shape, (n, layers, m + 2, width), as exact Python ints: each weight's
-    pivots by size in n lists.  The layers go to the gather as extra
-    tables.  One layer is read as int64 as it is; past it, layer 0 is
-    read as uint64 (mod 2^64), the others are reduced mod their moduli,
-    and Garner's form of the Chinese remainder theorem rebuilds each count
-    from its residues."""
+    shape, (n, layers, m + 2, width), as exact Python ints
+    (``_exact_counts``): each weight's pivots by size in n lists.  The gather
+    is planned once and applied once, with the layers as extra tables."""
     n, layers, rows, width = stack.shape
-    m = rows - 2
-    gathered = _gather_pivots(stack.reshape(n * layers, rows, width), weights, bar)
-    moduli = _moduli(m, width)
-    if not moduli:
-        return {w: counts.tolist() for w, counts in gathered.items()}
-    pivots = {}
-    for w, counts in gathered.items():
-        counts = counts.reshape(n, layers, m)
-        values = counts[:, 0].astype(np.uint64).ravel().tolist()
-        modulus = 1 << 64
-        for layer, p in enumerate(moduli, 1):
-            inverse = pow(modulus, -1, p)
-            residues = (counts[:, layer] % p).ravel().tolist()
-            values = [v + modulus * ((r - v) * inverse % p) for v, r in zip(values, residues)]
-            modulus *= p
-        pivots[w] = [values[row * m : (row + 1) * m] for row in range(n)]
-    return pivots
+    gathered = _gather_pivots(stack.reshape(n * layers, rows, width), _gather_plan(weights, bar, rows, width))
+    moduli = _moduli(rows - 2, width)
+    return {w: _exact_counts(counts.reshape(n, layers, rows - 2), moduli) for w, counts in gathered.items()}
 
 
 def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[int, ...]]:
@@ -196,46 +215,125 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[int, ...]
     return {w: tuple(counts[0]) for w, counts in pivots.items()}
 
 
+def _limb_bits(num_players: int) -> int:
+    """Bits b of the limbs in which ``_numerators`` splits each ordering
+    count s! * (m-1-s)! of m players, or 0 where it keeps the exact
+    Python-int dot product.
+
+    A pivot count of size s lies in [0, C(m-1, s)], within the count
+    bound B = C(m-1, (m-1)//2), and a b-bit limb in [0, 2^b), so one int64
+    sum of m products of a count and a limb lies in [0, m * B * 2^b).  The
+    largest b with m * B < 2^(63 - b) keeps it below 2^63: no sum
+    overflows, and joining the limb sums as Python ints,
+    sum_j 2^(b*j) * sum_s count_s * limb_(s,j) = sum_s count_s * s! * (m-1-s)!,
+    is exact.  Limbs pay while there are no more of them than players:
+    joining L limbs takes L - 1 Python big-int steps a row, the dot product
+    m products.  That holds up to m = 56 (33 bits, 3 limbs at m = 28); past
+    it b shrinks to nothing, and from m = 68 (``_moduli``) B alone passes
+    2^63.
+    """
+    bound = math.comb(num_players - 1, (num_players - 1) // 2)
+    bits = 63 - (num_players * bound).bit_length()
+    largest = math.factorial(num_players - 1)  # s! * (m-1-s)! at s = 0
+    return bits if bits > 0 and -(-largest.bit_length() // bits) <= num_players else 0
+
+
+def _numerators(num_players: int, moduli: Sequence[int]) -> Callable[[np.ndarray], list[int]]:
+    """The function that turns gathered pivot counts of shape
+    (rows, layers, m), each row the pivots by size of one player of an
+    m-player game whose table has ``moduli``, into that player's
+    Shapley-Shubik numerator (its index times m!), as an exact Python int.
+
+    With ``_limb_bits(m)`` = b > 0, each ordering count s! * (m-1-s)! is
+    split into L b-bit limbs, and one int64 matmul of the (rows, m) counts
+    by the (m, L) limbs gives each row's L limb sums, none past int64 (see
+    ``_limb_bits``); Python joins them as sum_j sums_j * 2^(b*j).  So each
+    row must hold a player's true counts, not a meaningless gather.
+    Otherwise each row is an exact Python-int dot product of its counts
+    (``_exact_counts``) with the ordering counts.
+    """
+    orderings = _pivot_orderings(num_players)
+    bits = _limb_bits(num_players)
+    if not bits:
+        return lambda counts: [sum(map(mul, row, orderings)) for row in _exact_counts(counts, moduli)]
+    limbs = -(-orderings[0].bit_length() // bits)
+    mask = (1 << bits) - 1
+    matrix = np.array([[o >> (bits * j) & mask for j in range(limbs)] for o in orderings], dtype=np.int64)
+
+    def join(counts: np.ndarray) -> list[int]:
+        *low, values = (counts[:, 0] @ matrix).T.tolist()
+        for sums in reversed(low):
+            values = [(v << bits) + x for v, x in zip(values, sums)]
+        return values
+
+    return join
+
+
 def _moved_pivots(
     weights: Sequence[int], quota: Fraction, moves: Collection[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, int], dict[int, list[int]]]]:
+) -> Iterator[tuple[tuple[int, int], dict[int, int]]]:
     """For each move (delta, u) of ``moves``, distinct pairs of delta = +-1
-    and a weight u of ``weights`` that leave some weight positive, +1 moves
-    first: the move and the pivots by size, per weight, of the game of
-    ``weights`` with one player of weight u changed to u + delta.
+    and a weight u of ``weights`` that leave some weight positive: the move
+    and the Shapley-Shubik numerators (index times m!), per weight, of the
+    game of ``weights`` with one player of weight u changed to u + delta.
 
     Both directions' totals pass the DP budget before the table of
     ``weights`` is built, once, wide enough for the bar of the +1 games.
-    Each move's table is a copy with u removed and u + delta added, in
-    O(m * width), not O(m^2 * width) for a fresh one.  The games of one
-    delta share the bar and so every gather offset: their tables are
-    stacked, ``_STACK_BYTES`` at a time, and gathered once per weight.
+    Each moved weight u is removed once, from a copy of that table, in
+    O(m * width) rather than O(m^2 * width) for a fresh table; the u + 1
+    and u - 1 tables are copies of that one with u + delta added.  The
+    games of one delta share the bar and so every gather offset, planned
+    once per delta.  The tables are made for a chunk of u's at a time, the
+    +1 and the -1 stacks together at most ``_STACK_BYTES``; each stack is
+    gathered once per weight, and its numerators come from one
+    ``_numerators`` call.
     """
     if not moves:
         return
     m, total = len(weights), sum(weights)
-    for delta in {d for d, _ in moves}:
+    deltas = [d for d in (1, -1) if any(move[0] == d for move in moves)]
+    for delta in deltas:
         _check_budget(m, total + delta)
     width = _bar(quota, total + 1) + 1
     moduli = _moduli(m, width)
     table = _cumulative_table(weights, width)
-    size = min(max(1, _STACK_BYTES // table.nbytes), len(moves))
-    buffer = np.empty((size, *table.shape), dtype=table.dtype)  # reused by every stack
-    for delta in (1, -1):
-        same = [move for move in moves if move[0] == delta]
-        for first in range(0, len(same), size):
-            chunk = same[first : first + size]
-            stack = buffer[: len(chunk)]
-            games = []  # the distinct weights of each moved game
-            for edited, (_, u) in zip(stack, chunk):
-                edited[...] = table
-                _remove_player(edited, u, moduli)
-                _add_player(edited, u + delta, moduli)
-                i = weights.index(u)
-                games.append({*weights[:i], *weights[i + 1 :], u + delta})
-            pivots = _exact_pivots(stack, set().union(*games), _bar(quota, total + delta))
-            for row, (move, present) in enumerate(zip(chunk, games)):
-                yield move, {w: pivots[w][row] for w in present}
+    layers, rows = table.shape[:2]
+    plans = {
+        d: _gather_plan({*weights, *(u + d for e, u in moves if e == d)}, _bar(quota, total + d), rows, width)
+        for d in deltas
+    }
+    numerators = _numerators(m, moduli)
+    moved = list(dict.fromkeys(u for _, u in moves))
+    size = min(max(1, _STACK_BYTES // (2 * table.nbytes)), len(moved))
+    stacks = {d: np.empty((size, *table.shape), dtype=table.dtype) for d in deltas}  # reused by every chunk
+    for first in range(0, len(moved), size):
+        games: dict[int, list[tuple[int, set[int]]]] = {1: [], -1: []}  # (u, distinct weights) per edited table
+        for u in moved[first : first + size]:
+            edits = [(stacks[d][len(games[d])], d) for d in deltas if (d, u) in moves]
+            removed = edits[0][0]
+            removed[...] = table
+            _remove_player(removed, u, moduli)
+            i = weights.index(u)
+            rest = {*weights[:i], *weights[i + 1 :]}
+            for edited, _ in edits[1:]:
+                edited[...] = removed
+            for edited, d in edits:
+                _add_player(edited, u + d, moduli)
+                games[d].append((u, rest | {u + d}))
+        for d in deltas:
+            n = len(games[d])
+            if not n:
+                continue
+            present = [ws for _, ws in games[d]]
+            order = list(set().union(*present))
+            gathered = _gather_pivots(stacks[d][:n].reshape(n * layers, rows, width), {w: plans[d][w] for w in order})
+            # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
+            counts = np.concatenate([gathered[w] for w in order]).reshape(-1, layers, m)
+            for g, ws in enumerate(present):
+                counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
+            values = numerators(counts)
+            for g, (u, ws) in enumerate(games[d]):
+                yield (d, u), {w: v for w, v in zip(order, values[g::n]) if w in ws}
 
 
 def _pivot_orderings(num_players: int) -> list[int]:
@@ -313,7 +411,8 @@ def penrose_decisiveness(population: int) -> tuple[Fraction, float]:
     sqrt(2 / (pi * population)).  Even population sizes have no canonical
     tie convention and are rejected.
     """
-    if population < 1 or population % 2 == 0:
+    population = _integer_at_least("population", population, 1)
+    if population % 2 == 0:
         raise ValueError(f"population must be odd and positive, got {population}")
     half = (population - 1) // 2
     exact = Fraction(math.comb(2 * half, half), 4**half)

@@ -58,6 +58,14 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance((1,), (1,), "l3")
 
+    @pytest.mark.parametrize(
+        "values, target, name",
+        [((math.nan,), (1,), "values"), ((1,), (math.inf,), "target"), ((0.5, -math.inf), (0.5, 0.5), "values")],
+    )
+    def test_rejects_non_finite(self, values, target, name):
+        with pytest.raises(ValueError, match=name):
+            distance(values, target)
+
 
 def fraction_key(values, target, norm):
     """Reference key in plain rational arithmetic."""
@@ -117,6 +125,11 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             InverseProblemSpec(target=())
 
+    @pytest.mark.parametrize("target", [(math.inf, 0.5), (math.nan, 1.0), ("half", "1/2")])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="target"):
+            InverseProblemSpec(target=target)
+
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -157,6 +170,20 @@ class TestLargestRemainder:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             largest_remainder((0, 0), 5)
+
+    @pytest.mark.parametrize(
+        "shares, total, name",
+        [
+            ((0.5, 0.5), 2.5, "total"),
+            ((0.5, 0.5), True, "total"),
+            ((0.5, 0.5), 0, "total"),
+            ((math.inf, 0.5), 3, "shares"),
+            ((math.nan, 0.5), 3, "shares"),
+        ],
+    )
+    def test_rejects_bad_input(self, shares, total, name):
+        with pytest.raises(ValueError, match=name):
+            largest_remainder(shares, total)
 
 
 def rescan_optimum(target, quota, norm, weight_bound):
@@ -421,7 +448,8 @@ def fresh_key(spec, vec):
 
 def check_neighbour_keys(spec, vec, tables=None):
     """Every incremental key equals the key of a fresh exact index.  With
-    ``tables``, a step stacks at most that many edited tables at a time."""
+    ``tables``, each of a step's +1 and -1 stacks holds at most that many
+    edited tables at a time."""
     expected = []
     for i, delta in itertools.product(range(len(vec)), (1, -1)):
         v = vec[:i] + (vec[i] + delta,) + vec[i + 1 :]
@@ -430,7 +458,7 @@ def check_neighbour_keys(spec, vec, tables=None):
     keys = _NeighbourKeys(spec)
     chunk_bytes = power._STACK_BYTES
     if tables is not None:
-        chunk_bytes = tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
+        chunk_bytes = 2 * tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
     with mock.patch.object(power, "_STACK_BYTES", chunk_bytes):
         scored = list(keys.neighbours(vec))
     assert [v for v, _ in scored] == expected
@@ -497,6 +525,28 @@ class TestNeighbourKeys:
             current = data.draw(st.sampled_from([v for v, _ in scored]))
         assert set(keys.cache) == seen
         assert len(keyed) == len(seen)  # each vector keyed once
+
+    @pytest.mark.parametrize(
+        "vec, quota",
+        [((5, 3, 3, 2, 1, 0, 7, 7, 4), HALF), ((9, 8, 1, 1, 0, 12, 3, 6, 6, 2, 5), F(37, 50))],
+    )
+    def test_one_removal_per_moved_weight_and_one_plan_per_direction(self, vec, quota):
+        spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
+        width = games_module._bar(quota, sum(vec) + 1) + 1
+        calls = {
+            name: mock.patch.object(power, name, wraps=getattr(power, name))
+            for name in ("_remove_player", "_gather_plan", "_gather_pivots")
+        }
+        # one table per stack: each direction's tables span several stacks
+        with mock.patch.object(power, "_STACK_BYTES", 2 * _cumulative_table(vec, width).nbytes):
+            with calls["_remove_player"] as remove, calls["_gather_plan"] as plan, calls["_gather_pivots"] as gather:
+                scored = list(_NeighbourKeys(spec).neighbours(vec))
+        assert [key for _, key in scored] == [fresh_key(spec, v) for v, _ in scored]
+        moved = set(vec)  # every weight moves up; all but 0 also move down
+        assert remove.call_count == len(moved)
+        assert [c.args[1] for c in plan.call_args_list] == [games_module._bar(quota, sum(vec) + d) for d in (1, -1)]
+        # one gather per stack: u = 0 has no -1 table
+        assert gather.call_count == 2 * len(moved) - 1
 
     def test_budget_guard(self):
         # two players: a start of weight sum 1,000,001 needs 2,000,002 cells,

@@ -306,6 +306,37 @@ class TestPivotCounts:
         assert len(built) == 2
 
 
+class TestNumerators:
+    # m = 56 is the last player count with limbs, m = 57 the first without
+    @pytest.mark.parametrize("m, bits", [(1, 62), (2, 61), (28, 33), (56, 5), (57, 0), (67, 0), (70, 0)])
+    def test_limb_rule(self, m, bits):
+        assert power._limb_bits(m) == bits
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 28, 56, 57]), st.data())
+    def test_equal_python_dot_product(self, m, data):
+        # counts up to the count bound C(m-1, (m-1)//2) at every size, a
+        # whole row at the bound included: the largest sums the limb proof allows
+        bound = math.comb(m - 1, (m - 1) // 2)
+        rows = data.draw(st.lists(st.lists(st.integers(0, bound), min_size=m, max_size=m), min_size=1, max_size=6))
+        rows.append([bound] * m)
+        orderings = power._pivot_orderings(m)
+        counts = np.array(rows, dtype=np.int64)[:, None]
+        assert power._numerators(m, ())(counts) == [sum(c * o for c, o in zip(row, orderings)) for row in rows]
+
+    def test_residue_layers_keep_python_ints(self):
+        game = game_at_bar(70, 500, (1, 29), seed=5)
+        width = game.bar + 1
+        stack = power._cumulative_table(game.weights, width)[None]
+        plan = power._gather_plan(game.weights, game.bar, *stack.shape[2:])
+        gathered = power._gather_pivots(stack.reshape(-1, *stack.shape[2:]), plan)
+        numerators = power._numerators(70, _moduli(70, width))
+        orderings = power._pivot_orderings(70)
+        pivots = _pivot_counts_by_size(game)
+        for w, counts in gathered.items():
+            assert numerators(counts.reshape(1, -1, 70)) == [sum(c * o for c, o in zip(pivots[w], orderings))]
+
+
 class TestPenrose:
     def test_single_voter(self):
         exact, _ = penrose_decisiveness(1)
@@ -328,6 +359,11 @@ class TestPenrose:
             penrose_decisiveness(4)
         with pytest.raises(ValueError):
             penrose_decisiveness(0)
+
+    @pytest.mark.parametrize("population", [True, 3.0, "3"])
+    def test_rejects_non_integer(self, population):
+        with pytest.raises(ValueError, match="population"):
+            penrose_decisiveness(population)
 
     def test_strictly_decreasing(self):
         values = [penrose_decisiveness(n)[0] for n in range(1, 202, 2)]
