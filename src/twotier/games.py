@@ -118,10 +118,12 @@ class WeightedVotingGame:
         return _bar(self.quota_ratio, self.total_weight)
 
     @cached_property
-    def _pivots(self) -> Mapping[int, tuple[int, ...]]:
-        """Pivots by coalition size for each distinct weight, computed once
-        per game by ``power._pivot_counts_by_size`` and shared by every
-        index that reads them.  Like ``bar``, it is no dataclass field, so
+    def _pivots(self) -> Mapping[int, tuple[tuple[int, ...], int]]:
+        """Pivots by coalition size and Shapley-Shubik numerator for each
+        distinct weight, computed once per game by
+        ``power._pivot_counts_by_size`` and shared by every index that reads
+        them: ``banzhaf`` the pivots, ``shapley_shubik`` and inverse search
+        the numerator.  Like ``bar``, it is no dataclass field, so
         equality, hashing, ``repr`` and ``to_text`` ignore it."""
         from .power import _pivot_counts_by_size  # power imports this module
 

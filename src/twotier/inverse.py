@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .games import WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
 from .games import _class_firsts, _integer_at_least
-from .power import _moved_pivots, _pivot_orderings, shapley_shubik
+from .power import _moved_pivots, shapley_shubik
 
 __all__ = [
     "SOLVER_METHODS",
@@ -293,28 +292,23 @@ def _initial_points(spec: InverseProblemSpec) -> Iterable[tuple[int, ...]]:
 class _NeighbourKeys:
     """Exact distance keys of weight vectors for one inverse problem,
     cached by vector: ``_numerator_key`` of the game's integer index
-    numerators, with no Fraction built.  A descent step keys its uncached
-    +-1 neighbours together, from the numerators ``power._moved_pivots``
-    yields once per move (delta, u) for all that change a weight u by
-    delta."""
+    numerators, with no Fraction built.  A vector keyed alone reads the
+    numerators of its game's pivot pass (``WeightedVotingGame._pivots``);
+    a descent step keys its uncached +-1 neighbours together, from the
+    numerators ``power._moved_pivots`` yields once per move (delta, u) for
+    all that change a weight u by delta.  Both come from the same gather
+    and ``power._numerators``."""
 
     def __init__(self, spec: InverseProblemSpec):
         self.quota = spec.quota_ratio
         self.numerator_key = _numerator_key(spec.target, spec.norm)
-        self.orderings = _pivot_orderings(spec.num_players)
         self.cache: dict[tuple[int, ...], int] = {}
-
-    def _cache_keys(self, vecs: list[tuple[int, ...]], numerators: Mapping[int, int]) -> None:
-        """Cache the keys of ``vecs``, vectors of one weight multiset whose
-        index numerators, per weight, are ``numerators``."""
-        for vec in vecs:
-            self.cache[vec] = self.numerator_key([numerators[w] for w in vec])
 
     def of(self, vec: tuple[int, ...]) -> int:
         """Key of one vector, such as the start of a descent."""
         if vec not in self.cache:
             pivots = WeightedVotingGame(vec, self.quota)._pivots
-            self._cache_keys([vec], {w: sum(map(mul, counts, self.orderings)) for w, counts in pivots.items()})
+            self.cache[vec] = self.numerator_key([pivots[w][1] for w in vec])
         return self.cache[vec]
 
     def neighbours(self, current: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -331,7 +325,8 @@ class _NeighbourKeys:
                 if neighbour not in self.cache:
                     pending.setdefault((delta, w), []).append(neighbour)
         for move, numerators in _moved_pivots(current, self.quota, pending):
-            self._cache_keys(pending[move], numerators)
+            for neighbour in pending[move]:  # one weight multiset: the same numerators per weight
+                self.cache[neighbour] = self.numerator_key([numerators[w] for w in neighbour])
         for neighbour in moves:
             yield neighbour, self.cache[neighbour]
 

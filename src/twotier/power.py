@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -71,15 +72,16 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """Cumulative counts C[s][x] of coalitions of size s and weight <= x
     for x < width, below one zero row that stands for size -1, held as
     int64 residue layers: an array of shape (layers, m + 2, width).
-    ``_gather_pivots`` clips a flat index below that row to its first cell,
-    so C[s-k] reads 0 for every k > s.
+    ``_gather`` clips a flat index below that row to its first cell, so
+    C[s-k] reads 0 for every k > s.
 
     The table is the table of no players, whose one empty coalition makes
     row 0 all ones, plus one ``_add_player`` per player on the rows that
     can be non-zero so far: O(m^2 * width) per layer in all.  Layer 0 holds
     the counts mod 2^64; the layers of ``_moduli(m, width)``, none up to 67
     players, hold them mod each modulus; ``_moved_pivots`` edits a table
-    with the same moduli, and ``_exact_pivots`` rebuilds exact counts.
+    with the same moduli, and ``_exact_counts`` and ``_numerators`` read
+    exact values from its gathered counts.
     """
     m = len(weights)
     moduli = _moduli(m, width)
@@ -122,7 +124,7 @@ def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
 def _gather_plan(
     weights: Iterable[int], bar: int, rows: int, ncols: int
 ) -> dict[int, tuple[np.ndarray, np.ndarray] | None]:
-    """The gather of ``_gather_pivots`` for each weight w in ``weights``,
+    """The gather of ``_gather`` for each weight w in ``weights``,
     planned once for every stack of cumulative tables of ``rows`` rows
     (m + 2) and ``ncols`` columns whose games have the same largest losing
     weight ``bar`` (``games._bar``): the flat indices, shape (k, m), and the
@@ -157,21 +159,23 @@ def _gather_plan(
     return plan
 
 
-def _gather_pivots(stack: np.ndarray, plan: dict[int, tuple[np.ndarray, np.ndarray] | None]) -> dict[int, np.ndarray]:
-    """Apply a ``_gather_plan`` to a stack of n layers of cumulative tables,
-    shape (n, m + 2, width): each planned weight w maps to the counts, by
-    |S|, of coalitions S without one player of weight w that the player
-    turns winning, an array of shape (n, m).  The row of a table whose game
-    has no player of weight w is meaningless.  Each count is exact mod 2^64
-    on layer 0, where int64 sums wrap, and within 2m moduli of 0 on a
-    residue layer (see ``_moduli``)."""
-    n, m = stack.shape[0], stack.shape[1] - 2
-    flat = stack.reshape(n, -1)
-    zeros = np.zeros((n, m), dtype=stack.dtype)
-    return {
-        w: zeros if gather is None else gather[1] @ flat.take(gather[0], axis=1, mode="clip")
-        for w, gather in plan.items()
-    }
+def _gather(stack: np.ndarray, plan: dict[int, tuple[np.ndarray, np.ndarray] | None], order: Sequence[int]) -> np.ndarray:
+    """Apply a ``_gather_plan`` to a stack of n cumulative tables of the same
+    shape, (n, layers, m + 2, width), for each weight of ``order`` in turn:
+    counts of shape (len(order) * n, layers, m) whose row j * n + g holds,
+    by |S|, the coalitions S without one player of weight order[j] in game
+    g that the player turns winning.  The row of a game with no player of
+    that weight is meaningless.  Each count is exact mod 2^64 on layer 0,
+    where int64 sums wrap, and within 2m moduli of 0 on a residue layer (see
+    ``_moduli``).  The layers are gathered as extra tables."""
+    n, layers, rows, width = stack.shape
+    flat = stack.reshape(n * layers, rows * width)
+    counts = np.zeros((len(order), n * layers, rows - 2), dtype=stack.dtype)
+    for j, w in enumerate(order):
+        if plan[w] is not None:
+            index, signs = plan[w]
+            counts[j] = signs @ flat.take(index, axis=1, mode="clip")
+    return counts.reshape(len(order) * n, layers, rows - 2)
 
 
 def _exact_counts(counts: np.ndarray, moduli: Sequence[int]) -> list[list[int]]:
@@ -193,26 +197,20 @@ def _exact_counts(counts: np.ndarray, moduli: Sequence[int]) -> list[list[int]]:
     return [values[row * m : (row + 1) * m] for row in range(n)]
 
 
-def _exact_pivots(stack: np.ndarray, weights: Iterable[int], bar: int) -> dict[int, list[list[int]]]:
-    """``_gather_pivots`` of a stack of n cumulative tables of the same
-    shape, (n, layers, m + 2, width), as exact Python ints
-    (``_exact_counts``): each weight's pivots by size in n lists.  The gather
-    is planned once and applied once, with the layers as extra tables."""
-    n, layers, rows, width = stack.shape
-    gathered = _gather_pivots(stack.reshape(n * layers, rows, width), _gather_plan(weights, bar, rows, width))
-    moduli = _moduli(rows - 2, width)
-    return {w: _exact_counts(counts.reshape(n, layers, rows - 2), moduli) for w, counts in gathered.items()}
-
-
-def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[int, ...]]:
-    """Pivots by coalition size for each distinct weight of the game, from a
-    table that reaches exactly the largest losing weight, refused past the
-    DP budget.  Every index reads them once per game, through
+def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[tuple[int, ...], int]]:
+    """For each distinct weight of the game, its pivots by coalition size
+    and its Shapley-Shubik numerator (``_numerators``), from a table that
+    reaches exactly the largest losing weight, refused past the DP budget:
+    a stack of one table through the gather and numerators of a step.
+    Every index reads them once per game, through
     ``WeightedVotingGame._pivots``."""
-    _check_budget(game.num_players, game.total_weight)
-    table = _cumulative_table(game.weights, game.bar + 1)
-    pivots = _exact_pivots(table[None], game.weights, game.bar)
-    return {w: tuple(counts[0]) for w, counts in pivots.items()}
+    m, width = game.num_players, game.bar + 1
+    _check_budget(m, game.total_weight)
+    order = list(dict.fromkeys(game.weights))
+    counts = _gather(_cumulative_table(game.weights, width)[None], _gather_plan(order, game.bar, m + 2, width), order)
+    moduli = _moduli(m, width)
+    pivots = _exact_counts(counts, moduli)
+    return {w: (tuple(c), v) for w, c, v in zip(order, pivots, _numerators(m, moduli)(counts))}
 
 
 def _limb_bits(num_players: int) -> int:
@@ -238,7 +236,8 @@ def _limb_bits(num_players: int) -> int:
     return bits if bits > 0 and -(-largest.bit_length() // bits) <= num_players else 0
 
 
-def _numerators(num_players: int, moduli: Sequence[int]) -> Callable[[np.ndarray], list[int]]:
+@lru_cache(maxsize=64)
+def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[[np.ndarray], list[int]]:
     """The function that turns gathered pivot counts of shape
     (rows, layers, m), each row the pivots by size of one player of an
     m-player game whose table has ``moduli``, into that player's
@@ -250,9 +249,13 @@ def _numerators(num_players: int, moduli: Sequence[int]) -> Callable[[np.ndarray
     ``_limb_bits``); Python joins them as sum_j sums_j * 2^(b*j).  So each
     row must hold a player's true counts, not a meaningless gather.
     Otherwise each row is an exact Python-int dot product of its counts
-    (``_exact_counts``) with the ordering counts.
+    (``_exact_counts``) with the ordering counts.  This is the one place
+    that turns pivots into numerators: a game's index and a step's keys
+    both read them here, through one function per (m, moduli).
     """
-    orderings = _pivot_orderings(num_players)
+    fact = [math.factorial(k) for k in range(num_players)]
+    # the orderings in which a given coalition of size s precedes a player and the rest follow it
+    orderings = [fact[s] * fact[num_players - 1 - s] for s in range(num_players)]
     bits = _limb_bits(num_players)
     if not bits:
         return lambda counts: [sum(map(mul, row, orderings)) for row in _exact_counts(counts, moduli)]
@@ -285,8 +288,8 @@ def _moved_pivots(
     games of one delta share the bar and so every gather offset, planned
     once per delta.  The tables are made for a chunk of u's at a time, the
     +1 and the -1 stacks together at most ``_STACK_BYTES``; each stack is
-    gathered once per weight, and its numerators come from one
-    ``_numerators`` call.
+    gathered once per weight by ``_gather``, the game pass's gather, and
+    its numerators come from one ``_numerators`` call.
     """
     if not moves:
         return
@@ -297,7 +300,7 @@ def _moved_pivots(
     width = _bar(quota, total + 1) + 1
     moduli = _moduli(m, width)
     table = _cumulative_table(weights, width)
-    layers, rows = table.shape[:2]
+    rows = table.shape[1]
     plans = {
         d: _gather_plan({*weights, *(u + d for e, u in moves if e == d)}, _bar(quota, total + d), rows, width)
         for d in deltas
@@ -326,23 +329,13 @@ def _moved_pivots(
                 continue
             present = [ws for _, ws in games[d]]
             order = list(set().union(*present))
-            gathered = _gather_pivots(stacks[d][:n].reshape(n * layers, rows, width), {w: plans[d][w] for w in order})
+            counts = _gather(stacks[d][:n], plans[d], order)
             # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
-            counts = np.concatenate([gathered[w] for w in order]).reshape(-1, layers, m)
             for g, ws in enumerate(present):
                 counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
             values = numerators(counts)
             for g, (u, ws) in enumerate(games[d]):
                 yield (d, u), {w: v for w, v in zip(order, values[g::n]) if w in ws}
-
-
-def _pivot_orderings(num_players: int) -> list[int]:
-    """s! * (m-1-s)! for s = 0..m-1: the orderings in which a given
-    coalition of size s precedes a player and the rest follow it.  A
-    player's pivots by size dotted with these is its Shapley-Shubik index
-    times m!."""
-    fact = [math.factorial(k) for k in range(num_players)]
-    return [fact[s] * fact[num_players - 1 - s] for s in range(num_players)]
 
 
 def _check_budget(num_players: int, total_weight: int) -> None:
@@ -355,15 +348,13 @@ def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     """Exact Shapley-Shubik index via dynamic programming.
 
     Player i's value is the number of orderings in which i's arrival turns
-    the set of predecessors winning, divided by m!.  Coalition counts by
-    (size, weight) are weighted with |S|! * (m-|S|-1)! / m! in exact rational
-    arithmetic, so the result carries no floating-point error.
+    the set of predecessors winning, divided by m!.  That number, the sum
+    over the coalitions S that i turns winning of |S|! * (m-|S|-1)!, is an
+    exact integer from ``_numerators``, so the result carries no
+    floating-point error.
     """
-    coeff = _pivot_orderings(game.num_players)
     m_fact = math.factorial(game.num_players)
-    values = {
-        w: Fraction(sum(map(mul, pivots, coeff)), m_fact) for w, pivots in game._pivots.items()
-    }
+    values = {w: Fraction(numerator, m_fact) for w, (_, numerator) in game._pivots.items()}
     return tuple(values[w] for w in game.weights)
 
 
@@ -397,7 +388,7 @@ def banzhaf(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     m = game.num_players
     denominator = 2 ** (m - 1)
     # summed as Python ints: a player's swings reach 2^(m-1), past int64 at m = 65
-    values = {w: Fraction(sum(pivots), denominator) for w, pivots in game._pivots.items()}
+    values = {w: Fraction(sum(pivots), denominator) for w, (pivots, _) in game._pivots.items()}
     return tuple(values[w] for w in game.weights)
 
 

@@ -180,8 +180,7 @@ def sample_median_shock(population: int, dist: Distribution, rng: np.random.Gene
     one is that value times V^(1/k) with V uniform, and the median is the
     midpoint of the two.  Cost is O(1) draws per sample regardless of n.
     """
-    if population < 1:
-        raise ValueError(f"population must be at least 1, got {population}")
+    population = _integer_at_least("population", population, 1)
     count = 1 if size is None else size
     if population % 2 == 1:
         half = (population - 1) // 2
@@ -198,8 +197,7 @@ def sample_median_shock(population: int, dist: Distribution, rng: np.random.Gene
 
 def sample_median_brute(population: int, dist: Distribution, rng: np.random.Generator, size: int):
     """Median of ``population`` individual draws; oracle for the shortcut."""
-    if population < 1:
-        raise ValueError(f"population must be at least 1, got {population}")
+    population = _integer_at_least("population", population, 1)
     draws = dist.sample(rng, (size, population))
     return np.median(draws, axis=1)
 
@@ -213,7 +211,7 @@ def median_shock_variance(population: int, dist: Distribution) -> float:
     Exact (from Beta order-statistic moments) for uniform distributions;
     the large-sample expression pi * sigma^2 / (2n) for normal ones.
     """
-    n = population
+    n = _integer_at_least("population", population, 1)
     if dist.name == "uniform":
         low, high = dist.params
         scale = (high - low) ** 2
@@ -234,12 +232,22 @@ class PivotEstimate:
 
     Stored as integer per-constituency counts; every replication credits
     exactly one constituency, so the counts sum to the replication total
-    and the estimated shares sum to exactly 1.
+    and the estimated shares sum to exactly 1.  Construction refuses
+    counts that are not non-negative integers summing to ``replications``,
+    itself at least 1.
     """
 
     counts: tuple[int, ...]
     replications: int
     seed: int
+
+    def __post_init__(self) -> None:
+        replications = _integer_at_least("replications", self.replications, 1)
+        counts = tuple(_integer_at_least("counts", c, 0) for c in self.counts)
+        if sum(counts) != replications:
+            raise ValueError(f"counts {counts} must sum to replications = {replications}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "replications", replications)
 
     @property
     def pi_hat(self) -> np.ndarray:
@@ -362,7 +370,7 @@ def estimate_pivot_probabilities(
     if game.total_weight >= 1 << 63:
         raise ValueError(f"total weight {game.total_weight} is not below 2^63")
     counts = np.sum(_map_blocks(replications, partial(_block_pivot_counts, fed, game, model, seed)), axis=0)
-    return PivotEstimate(tuple(int(c) for c in counts), replications, seed)
+    return PivotEstimate(tuple(counts), replications, seed)
 
 
 def _block_ordering_matches(fed, model, seed, block_index, count) -> int:

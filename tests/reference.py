@@ -1,0 +1,43 @@
+"""Slow, independent oracles for pivot counts and Shapley-Shubik numerators,
+in plain Python ints: no tables, residues, deconvolution or limbs, so the
+fast paths of ``twotier.power`` are checked against code they do not share."""
+
+import math
+
+
+def reference_pivots(game):
+    """Pivots by size for each distinct weight w: the coalitions S of the
+    other players, counted by |S|, with bar - w < w(S) <= bar.  A knapsack
+    over the other players, run again for each distinct weight, in plain
+    Python ints with no residues and no deconvolution: row s packs the
+    counts of size s by weight 0..bar into one int, m + 1 bits per weight.
+    The counts of size s sum to at most C(m-1, s) < 2^(m+1) - 1, so the
+    slots of weights bar - w + 1..bar, read mod 2^(m+1) - 1, give their sum
+    (as the digits of a decimal number sum to it mod 9)."""
+    m, bar = game.num_players, game.bar
+    bits = m + 1
+    mask = (1 << bits * (bar + 1)) - 1
+    pivots = {}
+    for w in set(game.weights):
+        others = list(game.weights)
+        others.remove(w)
+        rows = [1] + [0] * (m - 1)
+        for filled, v in enumerate(others, 1):
+            for s in range(filled, 0, -1):
+                rows[s] = (rows[s] + (rows[s - 1] << v * bits)) & mask
+        low = min(max(bar - w + 1, 0), bar + 1)
+        pivots[w] = tuple((row >> low * bits) % ((1 << bits) - 1) for row in rows)
+    return pivots
+
+
+def orderings(m):
+    """s! * (m-1-s)! for s = 0..m-1: the orderings of m players in which a
+    given coalition of size s precedes a player and the rest follow it."""
+    return [math.factorial(s) * math.factorial(m - 1 - s) for s in range(m)]
+
+
+def reference_numerators(game):
+    """Shapley-Shubik numerators (index times m!) for each distinct weight:
+    its ``reference_pivots`` dotted with ``orderings``."""
+    weights = orderings(game.num_players)
+    return {w: sum(c * o for c, o in zip(pivots, weights)) for w, pivots in reference_pivots(game).items()}

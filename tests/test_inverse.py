@@ -30,6 +30,7 @@ from twotier import power
 from twotier import games as games_module
 from twotier.inverse import _NeighbourKeys, _numerator_key
 from twotier.power import _cumulative_table
+from tests.reference import reference_numerators
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -443,7 +444,10 @@ def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6), 
 
 
 def fresh_key(spec, vec):
-    return _numerator_key(spec.target, spec.norm)(numerators(shapley_shubik(WeightedVotingGame(vec, spec.quota_ratio))))
+    """The key of ``vec`` from reference numerators, which share no code
+    with the gather and numerators of a step."""
+    fresh = reference_numerators(WeightedVotingGame(vec, spec.quota_ratio))
+    return _numerator_key(spec.target, spec.norm)([fresh[w] for w in vec])
 
 
 def check_neighbour_keys(spec, vec, tables=None):
@@ -535,11 +539,11 @@ class TestNeighbourKeys:
         width = games_module._bar(quota, sum(vec) + 1) + 1
         calls = {
             name: mock.patch.object(power, name, wraps=getattr(power, name))
-            for name in ("_remove_player", "_gather_plan", "_gather_pivots")
+            for name in ("_remove_player", "_gather_plan", "_gather")
         }
         # one table per stack: each direction's tables span several stacks
         with mock.patch.object(power, "_STACK_BYTES", 2 * _cumulative_table(vec, width).nbytes):
-            with calls["_remove_player"] as remove, calls["_gather_plan"] as plan, calls["_gather_pivots"] as gather:
+            with calls["_remove_player"] as remove, calls["_gather_plan"] as plan, calls["_gather"] as gather:
                 scored = list(_NeighbourKeys(spec).neighbours(vec))
         assert [key for _, key in scored] == [fresh_key(spec, v) for v, _ in scored]
         moved = set(vec)  # every weight moves up; all but 0 also move down

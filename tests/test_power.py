@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from twotier import (
 )
 from twotier import power
 from twotier.power import _moduli, _pivot_counts_by_size
+from tests.reference import orderings, reference_numerators, reference_pivots
 from tests.test_games import PROPERTY, games, random_game
 
 HALF = Fraction(1, 2)
@@ -37,31 +39,6 @@ def brute_force_banzhaf(game):
                 swings += 1
         expected.append(F(swings, 2 ** (m - 1)))
     return tuple(expected)
-
-
-def reference_pivots(game):
-    """Pivots by size for each distinct weight w: the coalitions S of the
-    other players, counted by |S|, with bar - w < w(S) <= bar.  A knapsack
-    over the other players, run again for each distinct weight, in plain
-    Python ints with no residues and no deconvolution: row s packs the
-    counts of size s by weight 0..bar into one int, m bits per weight,
-    room for any count below 2^(m-1)."""
-    m, bar = game.num_players, game.bar
-    slot = (1 << m) - 1
-    mask = (1 << m * (bar + 1)) - 1
-    pivots = {}
-    for w in set(game.weights):
-        others = list(game.weights)
-        others.remove(w)
-        rows = [1] + [0] * (m - 1)
-        for filled, v in enumerate(others, 1):
-            for s in range(filled, 0, -1):
-                rows[s] = (rows[s] + (rows[s - 1] << v * m)) & mask
-        low = min(max(bar - w + 1, 0), bar + 1)
-        window = (1 << m * (bar + 1 - low)) - 1
-        chunks = [(row >> low * m) & window for row in rows]
-        pivots[w] = tuple(sum((c >> k * m) & slot for k in range(bar + 1 - low)) for c in chunks)
-    return pivots
 
 
 def reference_table(weights, width):
@@ -92,6 +69,13 @@ def game_at_bar(m, bar, values, seed):
     last = 2 * bar + 1 - sum(weights)
     assert last >= 0
     return WeightedVotingGame((*weights, last), HALF)
+
+
+def reference_pass(game):
+    """What ``_pivot_counts_by_size`` must give: each distinct weight's
+    reference pivots and numerator."""
+    numerators = reference_numerators(game)
+    return {w: (pivots, numerators[w]) for w, pivots in reference_pivots(game).items()}
 
 
 class TestShapleyShubik:
@@ -246,12 +230,19 @@ class TestPivotCounts:
             (120, 1023, (12, 17, 19), 1),  # width 1024, one modulus below 2^53
             (120, 1024, (12, 17, 19), 2),  # width 1025: moduli below 2^52, two needed
             (120, 8000, (120, 131, 140), 2),  # weight total about 16,000
+            (28, 110, (3, 7, 11), 0),  # numerators from three 33-bit limbs
+            (56, 190, (3, 7, 11), 0),  # the last size with limbs
+            (57, 210, (3, 7, 11), 0),  # the first size without: Python-int dot products
         ],
     )
     def test_equal_reference_at_layer_edges(self, m, bar, values, moduli):
         game = game_at_bar(m, bar, values, seed=m + bar)
         assert game.bar == bar and len(_moduli(m, bar + 1)) == moduli
-        assert _pivot_counts_by_size(game) == reference_pivots(game)
+        expected = reference_pass(game)
+        assert dict(game._pivots) == expected  # _pivot_counts_by_size, once per game
+        m_fact, swing = math.factorial(m), 2 ** (m - 1)
+        assert shapley_shubik(game) == tuple(F(expected[w][1], m_fact) for w in game.weights)
+        assert banzhaf(game) == tuple(F(sum(expected[w][0]), swing) for w in game.weights)
         # every cell of the whole table, those no gather reads included:
         # layer 0 holds the counts mod 2^64, each residue layer mod its modulus
         table = power._cumulative_table(game.weights, bar + 1)
@@ -272,7 +263,7 @@ class TestPivotCounts:
         if not any(weights):
             weights[0] = max(values)
         game = WeightedVotingGame(tuple(weights), quota)
-        assert _pivot_counts_by_size(game) == reference_pivots(game)
+        assert _pivot_counts_by_size(game) == reference_pass(game)
 
     @pytest.mark.parametrize("m, moduli", [(28, 0), (70, 1), (120, 2)])
     def test_edited_tables_equal_fresh_tables(self, m, moduli):
@@ -320,21 +311,21 @@ class TestNumerators:
         bound = math.comb(m - 1, (m - 1) // 2)
         rows = data.draw(st.lists(st.lists(st.integers(0, bound), min_size=m, max_size=m), min_size=1, max_size=6))
         rows.append([bound] * m)
-        orderings = power._pivot_orderings(m)
         counts = np.array(rows, dtype=np.int64)[:, None]
-        assert power._numerators(m, ())(counts) == [sum(c * o for c, o in zip(row, orderings)) for row in rows]
+        assert power._numerators(m, ())(counts) == [sum(map(mul, row, orderings(m))) for row in rows]
 
     def test_residue_layers_keep_python_ints(self):
-        game = game_at_bar(70, 500, (1, 29), seed=5)
+        # a stack of one 70-player table with one residue layer: each
+        # weight's gathered counts give its numerator, far past int64
+        game = game_at_bar(70, 500, (0, 1, 29), seed=5)
         width = game.bar + 1
+        order = list(dict.fromkeys(game.weights))
         stack = power._cumulative_table(game.weights, width)[None]
-        plan = power._gather_plan(game.weights, game.bar, *stack.shape[2:])
-        gathered = power._gather_pivots(stack.reshape(-1, *stack.shape[2:]), plan)
-        numerators = power._numerators(70, _moduli(70, width))
-        orderings = power._pivot_orderings(70)
-        pivots = _pivot_counts_by_size(game)
-        for w, counts in gathered.items():
-            assert numerators(counts.reshape(1, -1, 70)) == [sum(c * o for c, o in zip(pivots[w], orderings))]
+        counts = power._gather(stack, power._gather_plan(order, game.bar, *stack.shape[2:]), order)
+        assert counts.shape == (len(order), 2, 70) and not counts[order.index(0)].any()  # 0 is planned as None
+        numerators = power._numerators(70, _moduli(70, width))(counts)
+        expected = reference_numerators(game)
+        assert numerators == [expected[w] for w in order] and max(numerators) > 1 << 64
 
 
 class TestPenrose:

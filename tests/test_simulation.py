@@ -91,6 +91,15 @@ class TestMedianShock:
         with pytest.raises(ValueError):
             sample_median_shock(0, UNIFORM, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("population", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_population(self, population):
+        with pytest.raises(ValueError, match="population must be an integer"):
+            sample_median_shock(population, UNIFORM, np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="population must be an integer"):
+            sample_median_brute(population, UNIFORM, np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="population must be an integer"):
+            median_shock_variance(population, UNIFORM)
+
     def test_single_voter_is_plain_draw(self):
         rng = np.random.default_rng(32)
         draws = sample_median_shock(1, UNIFORM, rng, 100_000)
@@ -283,6 +292,25 @@ class TestEstimate:
     def test_std_err_formula(self):
         estimate = PivotEstimate((25, 75), 100, 0)
         assert estimate.std_err[0] == pytest.approx(math.sqrt(0.25 * 0.75 / 100))
+
+    @pytest.mark.parametrize(
+        "counts, replications, message",
+        [
+            ((1, 2), 0, "replications must be at least 1"),
+            ((5, 7), 3, "must sum to replications"),
+            ((5, -2), 3, "counts must be at least 0"),
+            ((1.5, 1.5), 3, "counts must be an integer"),
+            ((1, 2), 3.0, "replications must be an integer"),
+        ],
+    )
+    def test_estimate_validates_its_fields(self, counts, replications, message):
+        with pytest.raises(ValueError, match=message):
+            PivotEstimate(counts, replications, 0)
+
+    def test_estimate_stores_python_ints(self):
+        estimate = PivotEstimate(tuple(np.array([2, 1])), 3, 0)
+        assert estimate.counts == (2, 1) and all(type(c) is int for c in estimate.counts)
+        assert estimate.exact_shares() == (Fraction(2, 3), Fraction(1, 3))
 
     def test_validation(self):
         fed = FederationSpec.from_sizes((10, 10))
