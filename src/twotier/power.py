@@ -164,10 +164,11 @@ def _gather(stack: np.ndarray, plan: dict[int, tuple[np.ndarray, np.ndarray] | N
     shape, (n, layers, m + 2, width), for each weight of ``order`` in turn:
     counts of shape (len(order) * n, layers, m) whose row j * n + g holds,
     by |S|, the coalitions S without one player of weight order[j] in game
-    g that the player turns winning.  The row of a game with no player of
-    that weight is meaningless.  Each count is exact mod 2^64 on layer 0,
-    where int64 sums wrap, and within 2m moduli of 0 on a residue layer (see
-    ``_moduli``).  The layers are gathered as extra tables."""
+    g that the player turns winning, zeros for a weight planned as None.
+    The row of a game with no player of that weight is meaningless.  Each
+    count is exact mod 2^64 on layer 0, where int64 sums wrap, and within
+    2m moduli of 0 on a residue layer (see ``_moduli``).  The layers are
+    gathered as extra tables."""
     n, layers, rows, width = stack.shape
     flat = stack.reshape(n * layers, rows * width)
     counts = np.zeros((len(order), n * layers, rows - 2), dtype=stack.dtype)
