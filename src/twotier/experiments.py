@@ -28,6 +28,7 @@ from .power import shapley_shubik
 from .simulation import (
     FederationSpec,
     PreferenceModel,
+    _threaded,
     estimate_pivot_probabilities,
     fairness_deviation,
 )
@@ -257,8 +258,10 @@ def games_path_for(output_path) -> Path:
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the sweep and write two files: the results CSV (one row per
     (t, rule) in deterministic order) and a companion listing of the games
-    used with their exact power vectors.  Partial files are removed if any
-    stage fails.  Reruns with an identical config are byte identical.
+    used with their exact power vectors.  Rows run side by side on one
+    pool (``simulation._threaded``), each with its blocks on its thread.
+    Partial files are removed if any stage fails.  Reruns with an
+    identical config are byte identical, whatever the CPU count.
     """
     fed = load_federation(config.federation_path)
     out_path = Path(config.output_path)
@@ -268,24 +271,21 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         for rule in config.rules:
             games[rule] = build_weights(fed, rule, config.quota_ratio, config.weight_total, config.solver)
 
-        rows: list[ExperimentRow] = []
-        for t_index, t_value in enumerate(config.t_grid):
+        def run_row(t_index: int, t_value: float, rule_index: int, rule: str) -> ExperimentRow:
+            seed = _row_seed(config.seed, t_index, rule_index)
             model = PreferenceModel(cohesion=t_value)
-            for rule_index, rule in enumerate(config.rules):
-                seed = _row_seed(config.seed, t_index, rule_index)
-                estimate = estimate_pivot_probabilities(
-                    fed, games[rule], model, config.replications, seed
-                )
-                rows.append(
-                    ExperimentRow(
-                        t=t_value,
-                        rule=rule,
-                        deviation=fairness_deviation(estimate, fed),
-                        std_err_proxy=float(np.sum(estimate.std_err)),
-                        replications=config.replications,
-                        seed=seed,
-                    )
-                )
+            estimate = estimate_pivot_probabilities(fed, games[rule], model, config.replications, seed)
+            return ExperimentRow(
+                t=t_value,
+                rule=rule,
+                deviation=fairness_deviation(estimate, fed),
+                std_err_proxy=float(np.sum(estimate.std_err)),
+                replications=config.replications,
+                seed=seed,
+            )
+
+        cells = [(ti, t, ri, rule) for ti, t in enumerate(config.t_grid) for ri, rule in enumerate(config.rules)]
+        rows = _threaded(run_row, cells)
 
         with open(out_path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)

@@ -211,7 +211,7 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[tuple[int
     counts = _gather(_cumulative_table(game.weights, width)[None], _gather_plan(order, game.bar, m + 2, width), order)
     moduli = _moduli(m, width)
     pivots = _exact_counts(counts, moduli)
-    return {w: (tuple(c), v) for w, c, v in zip(order, pivots, _numerators(m, moduli)(counts))}
+    return {w: (tuple(c), v) for w, c, v in zip(order, pivots, _numerators(m, moduli)(counts, pivots))}
 
 
 def _limb_bits(num_players: int) -> int:
@@ -238,11 +238,12 @@ def _limb_bits(num_players: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[[np.ndarray], list[int]]:
+def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[..., list[int]]:
     """The function that turns gathered pivot counts of shape
     (rows, layers, m), each row the pivots by size of one player of an
     m-player game whose table has ``moduli``, into that player's
     Shapley-Shubik numerator (its index times m!), as an exact Python int.
+    A caller holding the counts' ``_exact_counts`` passes them second.
 
     With ``_limb_bits(m)`` = b > 0, each ordering count s! * (m-1-s)! is
     split into L b-bit limbs, and one int64 matmul of the (rows, m) counts
@@ -259,12 +260,12 @@ def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[[np.ndarr
     orderings = [fact[s] * fact[num_players - 1 - s] for s in range(num_players)]
     bits = _limb_bits(num_players)
     if not bits:
-        return lambda counts: [sum(map(mul, row, orderings)) for row in _exact_counts(counts, moduli)]
+        return lambda counts, exact=None: [sum(map(mul, r, orderings)) for r in exact or _exact_counts(counts, moduli)]
     limbs = -(-orderings[0].bit_length() // bits)
     mask = (1 << bits) - 1
     matrix = np.array([[o >> (bits * j) & mask for j in range(limbs)] for o in orderings], dtype=np.int64)
 
-    def join(counts: np.ndarray) -> list[int]:
+    def join(counts: np.ndarray, exact=None) -> list[int]:
         *low, values = (counts[:, 0] @ matrix).T.tolist()
         for sums in reversed(low):
             values = [(v << bits) + x for v, x in zip(values, sums)]

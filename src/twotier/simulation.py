@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +42,6 @@ __all__ = [
     "sample_median_brute",
     "estimate_pivot_probabilities",
     "ordering_match_rate",
-    "median_shock_variance",
     "voter_influence",
     "fairness_deviation",
 ]
@@ -49,9 +49,10 @@ __all__ = [
 # replications per RNG substream; fixed so that results do not depend on how
 # blocks are distributed across threads
 BLOCK_SIZE = 1 << 15
-# rows per pivot-search chunk: a quarter block keeps the sort and gather
-# temporaries of each thread well below the block of positions it holds
-PIVOT_CHUNK = 1 << 13
+# rows per chunk of positions: the shocks are drawn, and the pivots sorted
+# and gathered, a sixteenth of a block at a time, so each thread holds one
+# block of noise medians and about a fifth of a block of temporaries
+PIVOT_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -202,30 +203,6 @@ def sample_median_brute(population: int, dist: Distribution, rng: np.random.Gene
     return np.median(draws, axis=1)
 
 
-def median_shock_variance(population: int, dist: Distribution) -> float:
-    """Variance of the sample median of ``population`` draws: the model's
-    formula for the spread of a constituency's median shock, which the
-    tests check against draws of the Beta identity in
-    ``sample_median_shock``.
-
-    Exact (from Beta order-statistic moments) for uniform distributions;
-    the large-sample expression pi * sigma^2 / (2n) for normal ones.
-    """
-    n = _integer_at_least("population", population, 1)
-    if dist.name == "uniform":
-        low, high = dist.params
-        scale = (high - low) ** 2
-        if n % 2 == 1:
-            return scale / (4.0 * (n + 2))
-        half = n // 2
-        denom = (n + 1) ** 2 * (n + 2)
-        var_low = half * (n + 1 - half) / denom
-        var_high = (half + 1) * (n - half) / denom
-        cov = half * (n - half) / denom
-        return scale * (var_low + var_high + 2.0 * cov) / 4.0
-    return math.pi * dist.variance / (2.0 * n)
-
-
 @dataclass(frozen=True)
 class PivotEstimate:
     """Estimated pivot probabilities with binomial standard errors.
@@ -276,19 +253,24 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(replications: int, run_block) -> list:
-    """``run_block(block_index, count)`` for every block, in block order.
+_pool_thread = threading.local()  # marks the threads of a ``_threaded`` pool
 
-    Blocks run on one thread per available CPU (at most one per block); the
-    numpy samplers, ``ndtri`` and ``argsort`` release the interpreter lock,
-    so the threads overlap.  One block runs inline.
-    """
-    blocks = _block_bounds(replications)
-    workers = min(_available_cpus(), len(blocks))
-    if workers == 1:
-        return [run_block(index, count) for index, count in blocks]
+
+def _threaded(function, calls: Sequence[tuple]) -> list:
+    """``function(*call)`` for every call, in order, on one thread per
+    available CPU, at most one per call (numpy's samplers and sorts release
+    the interpreter lock).  One call, or calls made on a pool thread, run
+    inline: pools never nest, so a thread holds one call's memory at a time."""
+    workers = min(_available_cpus(), len(calls))
+    if workers == 1 or getattr(_pool_thread, "active", False):
+        return [function(*call) for call in calls]
+
+    def run(call):
+        _pool_thread.active = True
+        return function(*call)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_block, *zip(*blocks)))
+        return list(pool.map(run, calls))
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -296,27 +278,46 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _block_ideals(fed, model, seed, block_index, count, shared_order=False):
-    """Delegate positions for one replication block and, when asked, the
-    stable row order of the unscaled shared shocks (else None).
-
-    Draw order is fixed (noise medians per constituency, then the shared
-    shock matrix) so a block's content depends only on (seed, block index).
-    The positions are built in place and equal ``cohesion * shared + noise``
-    bit for bit.
-    """
+    """Yields (positions, order) for each ``PIVOT_CHUNK`` rows of one
+    replication block, order being the stable row order of the chunk's
+    unscaled shared shocks when asked, else None.  Draw order is fixed
+    (noise medians per constituency, then the shock matrix row by row, as
+    numpy fills one whole draw) so a block depends only on (seed, block
+    index).  Each constituency's medians fill one contiguous row, and a
+    chunk's positions, built in its shock buffer, equal
+    ``cohesion * shared + noise`` bit for bit."""
     rng = _block_rng(seed, block_index)
-    m = fed.num_constituencies
-    ideals = np.empty((count, m))
+    noise = np.empty((fed.num_constituencies, count))
     for i, population in enumerate(fed.populations):
-        ideals[:, i] = sample_median_shock(population, model.idiosyncratic, rng, count)
-    order = None
-    if model.cohesion > 0:
-        shared = model.constituency.sample(rng, (count, m))
-        if shared_order:
-            order = np.argsort(shared, axis=1, kind="stable")
+        noise[i] = sample_median_shock(population, model.idiosyncratic, rng, count)
+    for start in range(0, count, PIVOT_CHUNK):
+        rows = noise[:, start : start + PIVOT_CHUNK].T
+        if model.cohesion <= 0:
+            yield rows, None
+            continue
+        shared = model.constituency.sample(rng, rows.shape)
+        order = _sorted_order(shared, np.empty_like(shared)) if shared_order else None
         shared *= model.cohesion
-        ideals += shared
-    return ideals, order
+        shared += rows
+        yield shared, order
+
+
+def _sorted_order(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.argsort(rows, axis=1, kind="stable")``, with the sorted rows
+    left in ``values``, a float array of their shape (the rows, copied
+    there first, may be strided).  numpy's default argsort, a SIMD sort
+    where the CPU has one, is several times faster than the stable one but
+    orders equal values arbitrarily.  A row whose sorted values strictly
+    increase has one ascending order, so only the rest, those with an
+    exact tie or a NaN, are sorted again, stably."""
+    np.copyto(values, rows)
+    order = np.argsort(values, axis=1)
+    values.sort(axis=1)
+    increasing = values[:, 1:] > values[:, :-1]
+    if not increasing.all():
+        tied = ~increasing.all(axis=1)
+        order[tied] = np.argsort(rows[tied], axis=1, kind="stable")
+    return order
 
 
 def _pivot_counts(ideals: np.ndarray, game: WeightedVotingGame) -> np.ndarray:
@@ -326,14 +327,17 @@ def _pivot_counts(ideals: np.ndarray, game: WeightedVotingGame) -> np.ndarray:
     A row's pivot is the original index at the first spot, in ascending
     position order, where the cumulative weight exceeds ``game.bar``.
     Exact float ties (probability zero in the model) break toward the
-    lower index.  Rows are taken ``PIVOT_CHUNK`` at a time so that the
-    sort and gather temporaries stay a fraction of the block.
+    lower index.  Rows are taken ``PIVOT_CHUNK`` at a time, and one buffer
+    takes a chunk's sorted positions and then its cumulative weights.
     """
     weights = np.asarray(game.weights, dtype=np.int64)
     counts = np.zeros(game.num_players, dtype=np.int64)
+    buffer = np.empty((min(PIVOT_CHUNK, len(ideals)), game.num_players), dtype=np.int64)
     for start in range(0, len(ideals), PIVOT_CHUNK):
-        order = np.argsort(ideals[start : start + PIVOT_CHUNK], axis=1, kind="stable")
-        cumulative = np.take(weights, order)
+        rows = ideals[start : start + PIVOT_CHUNK]
+        cumulative = buffer[: len(rows)]
+        order = _sorted_order(rows, cumulative.view(np.float64))
+        np.take(weights, order, out=cumulative, mode="clip")
         np.cumsum(cumulative, axis=1, out=cumulative)
         positions = np.argmax(cumulative > game.bar, axis=1)
         pivots = np.take_along_axis(order, positions[:, None], axis=1)
@@ -342,8 +346,7 @@ def _pivot_counts(ideals: np.ndarray, game: WeightedVotingGame) -> np.ndarray:
 
 
 def _block_pivot_counts(fed, game, model, seed, block_index, count) -> np.ndarray:
-    ideals, _ = _block_ideals(fed, model, seed, block_index, count)
-    return _pivot_counts(ideals, game)
+    return sum(_pivot_counts(positions, game) for positions, _ in _block_ideals(fed, model, seed, block_index, count))
 
 
 def estimate_pivot_probabilities(
@@ -357,11 +360,13 @@ def estimate_pivot_probabilities(
     replications.
 
     Replications are processed in blocks of ``BLOCK_SIZE``, each with its
-    own RNG substream derived from (seed, block index), on one thread per
-    available CPU; each thread holds about one block of positions.  The
-    per-block counts are summed as integers, so the estimate is bit
-    identical to a serial run whatever the CPU count.  Weight totals of
-    2^63 or more, past the pivot kernel's int64 sums, are refused.
+    own RNG substream derived from (seed, block index), through
+    ``_threaded``: on one thread per available CPU, or all on the calling
+    thread when that is a pool thread, as a row of ``run_experiment`` is.
+    Each thread holds about one block of noise medians.  The block counts
+    are summed as integers, so the estimate is bit identical to a serial
+    run whatever the CPU count.  Weight totals of 2^63 or more, past the
+    pivot kernel's int64 sums, are refused.
     """
     replications = _integer_at_least("replications", replications, 1)
     seed = _integer_at_least("seed", seed, 0)
@@ -369,23 +374,16 @@ def estimate_pivot_probabilities(
         raise ValueError("game and federation must have matching sizes")
     if game.total_weight >= 1 << 63:
         raise ValueError(f"total weight {game.total_weight} is not below 2^63")
-    counts = np.sum(_map_blocks(replications, partial(_block_pivot_counts, fed, game, model, seed)), axis=0)
-    return PivotEstimate(tuple(counts), replications, seed)
+    counts = _threaded(partial(_block_pivot_counts, fed, game, model, seed), _block_bounds(replications))
+    return PivotEstimate(tuple(np.sum(counts, axis=0)), replications, seed)
 
 
 def _block_ordering_matches(fed, model, seed, block_index, count) -> int:
-    ideals, shared_order = _block_ideals(fed, model, seed, block_index, count, shared_order=True)
-    matches = 0
-    for start in range(0, count, PIVOT_CHUNK):
-        rows = slice(start, start + PIVOT_CHUNK)
-        same = np.argsort(ideals[rows], axis=1, kind="stable") == shared_order[rows]
-        matches += int(same.all(axis=1).sum())
-    return matches
+    chunks = _block_ideals(fed, model, seed, block_index, count, shared_order=True)
+    return sum(int((_sorted_order(p, np.empty_like(p)) == order).all(axis=1).sum()) for p, order in chunks)
 
 
-def ordering_match_rate(
-    fed: FederationSpec, model: PreferenceModel, replications: int, seed: int
-) -> float:
+def ordering_match_rate(fed: FederationSpec, model: PreferenceModel, replications: int, seed: int) -> float:
     """Fraction of replications in which the delegates' position order
     equals the order of the underlying shared shocks.  Requires positive
     cohesion (at zero the shared shocks play no role and the comparison is
@@ -395,7 +393,8 @@ def ordering_match_rate(
         raise ValueError("ordering_match_rate requires cohesion > 0")
     replications = _integer_at_least("replications", replications, 1)
     seed = _integer_at_least("seed", seed, 0)
-    return sum(_map_blocks(replications, partial(_block_ordering_matches, fed, model, seed))) / replications
+    matches = _threaded(partial(_block_ordering_matches, fed, model, seed), _block_bounds(replications))
+    return sum(matches) / replications
 
 
 def _pivot_values(pi) -> list:

@@ -1,6 +1,8 @@
 """Slow, independent oracles for pivot counts and Shapley-Shubik numerators,
 in plain Python ints: no tables, residues, deconvolution or limbs, so the
-fast paths of ``twotier.power`` are checked against code they do not share."""
+fast paths of ``twotier.power`` are checked against code they do not share;
+and the closed-form spread of a sample median, against which the draws of
+``twotier.simulation.sample_median_shock`` are checked."""
 
 import math
 
@@ -41,3 +43,25 @@ def reference_numerators(game):
     its ``reference_pivots`` dotted with ``orderings``."""
     weights = orderings(game.num_players)
     return {w: sum(c * o for c, o in zip(pivots, weights)) for w, pivots in reference_pivots(game).items()}
+
+
+def median_shock_variance(population, dist):
+    """Variance of the sample median of ``population`` draws from ``dist``:
+    the model's formula for the spread of a constituency's median shock.
+
+    Exact (from Beta order-statistic moments) for uniform distributions;
+    the large-sample expression pi * sigma^2 / (2n) for normal ones.
+    """
+    n = population
+    if dist.name == "uniform":
+        low, high = dist.params
+        scale = (high - low) ** 2
+        if n % 2 == 1:
+            return scale / (4.0 * (n + 2))
+        half = n // 2
+        denom = (n + 1) ** 2 * (n + 2)
+        var_low = half * (n + 1 - half) / denom
+        var_high = (half + 1) * (n - half) / denom
+        cov = half * (n - half) / denom
+        return scale * (var_low + var_high + 2.0 * cov) / 4.0
+    return math.pi * dist.variance / (2.0 * n)

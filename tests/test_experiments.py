@@ -1,6 +1,7 @@
 """Federation files, weight rules, experiment sweeps, and the CLI surface."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -296,14 +297,34 @@ class TestRunExperiment:
         assert games_path_for(config.output_path).read_bytes() == first_games
 
     def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        # three rows: with two CPUs one thread runs two of them
         replications = 2 * simulation.BLOCK_SIZE + 100
-        config = self.small_config(tmp_path, replications=replications, rules=("proportional", "square_root"))
+        config = self.small_config(
+            tmp_path, replications=replications, t_grid=(0.0, 1.0, 10.0), rules=("square_root",)
+        )
         outputs = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
             run_experiment(config)
             outputs.append(((tmp_path / "out.csv").read_bytes(), games_path_for(config.output_path).read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cpus, threads", [(2, 2), (3, 3), (8, 4)])
+    def test_rows_share_one_pool(self, tmp_path, monkeypatch, cpus, threads):
+        # four rows of three blocks each: one pool of min(CPUs, rows)
+        # threads, and the rows' blocks run on the row's own thread
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+        replications = 2 * simulation.BLOCK_SIZE + 100
+        run_experiment(self.small_config(tmp_path, replications=replications, rules=("proportional", "square_root")))
+        assert sizes == [threads]
 
     def test_single_constituency_zero_deviation(self, tmp_path):
         fed_path = make_federation_csv(tmp_path / "solo.csv", ["Only,500"])

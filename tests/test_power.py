@@ -251,6 +251,17 @@ class TestPivotCounts:
         for layer, modulus in zip(table, (1 << 64, *_moduli(m, bar + 1))):
             assert layer[1:].astype(np.uint64).tolist() == [[c % modulus for c in row] for row in counts]
 
+    @pytest.mark.parametrize("m, bar", [(57, 210), (70, 512)])
+    def test_exact_counts_rebuilt_once_per_pass(self, m, bar, monkeypatch):
+        # past 56 players the numerators are Python-int dot products, of
+        # the exact counts the pass already rebuilt for banzhaf
+        calls = []
+        exact_counts = power._exact_counts
+        monkeypatch.setattr(power, "_exact_counts", lambda *args: calls.append(1) or exact_counts(*args))
+        game = game_at_bar(m, bar, (3, 7, 11), seed=m + bar)
+        assert _pivot_counts_by_size(game) == reference_pass(game)
+        assert len(calls) == 1
+
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
         st.integers(60, 120),

@@ -29,10 +29,12 @@ from twotier import simulation
 from twotier.simulation import (
     BLOCK_SIZE,
     _block_bounds,
+    _block_ideals,
     _block_pivot_counts,
     _pivot_counts,
-    median_shock_variance,
+    _sorted_order,
 )
+from tests.reference import median_shock_variance
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -97,8 +99,6 @@ class TestMedianShock:
             sample_median_shock(population, UNIFORM, np.random.default_rng(0), 3)
         with pytest.raises(ValueError, match="population must be an integer"):
             sample_median_brute(population, UNIFORM, np.random.default_rng(0), 3)
-        with pytest.raises(ValueError, match="population must be an integer"):
-            median_shock_variance(population, UNIFORM)
 
     def test_single_voter_is_plain_draw(self):
         rng = np.random.default_rng(32)
@@ -252,6 +252,83 @@ class TestPivotalIndex:
         with patch.object(simulation, "PIVOT_CHUNK", chunk):
             counts = _pivot_counts(np.array(rows), game)
         assert counts.tolist() == np.bincount(expected, minlength=game.num_players).tolist()
+
+
+class TestSortedOrder:
+    """``_sorted_order``: the default argsort, and a stable re-sort of only
+    the rows whose sorted values do not strictly increase."""
+
+    GAME = WeightedVotingGame((3, 1, 2, 2, 1), Fraction(3, 5))
+    ROWS = [
+        [0.3, -0.2, 0.5, 0.1, 0.0],  # no tie
+        [0.5, 0.5, 0.1, 0.1, 0.5],  # ties
+        [math.inf, -math.inf, 0.0, 1.0, -1.0],  # infinities, no tie
+        [-math.inf, -math.inf, 2.0, math.inf, math.inf],  # tied infinities
+        [0.0, -0.0, 0.25, -0.25, 1.0],  # -0.0 == 0.0 is a tie
+        [0.9, 0.1, 0.8, 0.2, 0.7],  # no tie
+        [0.2, 0.2, 0.2, 0.2, 0.2],  # all tied
+    ]
+
+    @pytest.mark.parametrize("chunk", [2, 3, 4, 7])
+    def test_mixed_chunk_matches_fraction_oracle(self, chunk):
+        # each chunk holds untied, tied and infinite rows, and a chunk
+        # boundary falls between rows of each kind
+        expected = [fraction_pivot(row, self.GAME) for row in self.ROWS]
+        with patch.object(simulation, "PIVOT_CHUNK", chunk):
+            counts = _pivot_counts(np.array(self.ROWS), self.GAME)
+        assert counts.tolist() == np.bincount(expected, minlength=5).tolist()
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_equals_stable_argsort_with_ties(self, strided):
+        rng = np.random.default_rng(60)
+        rows = rng.normal(size=(3000, 12))
+        tied = rng.choice(3000, 600, replace=False)
+        columns = rng.integers(0, 12, (600, 2))
+        rows[tied, columns[:, 0]] = rows[tied, columns[:, 1]]  # a copied value ties two delegates
+        rows[tied[:200], 3] = rng.choice([math.inf, -math.inf, math.nan, 0.0, -0.0], 200)
+        if strided:
+            rows = np.asfortranarray(rows)
+        values = np.empty(rows.shape)
+        order = _sorted_order(rows, values)
+        np.testing.assert_array_equal(order, np.argsort(rows, axis=1, kind="stable"))
+        np.testing.assert_array_equal(values, np.sort(rows, axis=1))
+
+    @pytest.mark.parametrize("cohesion", [0.0, 5.0])
+    def test_tie_free_block_sorts_no_row_again(self, cohesion, monkeypatch):
+        # the fast path must stay fast: a tie-free block passes no row to
+        # the stable sort
+        fed = FederationSpec.from_sizes(tuple(1_000_001 + 2 * i for i in range(28)))
+        game = WeightedVotingGame(tuple(range(1, 29)), Fraction(37, 50))
+        sorted_rows = {None: 0, "stable": 0}
+        argsort = np.argsort
+
+        def recording(a, axis=-1, kind=None, **kwargs):
+            sorted_rows[kind] += len(a)
+            return argsort(a, axis=axis, kind=kind, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        _block_pivot_counts(fed, game, PreferenceModel(cohesion=cohesion), 61, 0, BLOCK_SIZE)
+        assert sorted_rows == {None: BLOCK_SIZE, "stable": 0}
+
+
+class TestBlockIdeals:
+    @pytest.mark.parametrize("cohesion", [0.0, 5.0])
+    def test_chunks_equal_one_whole_draw(self, cohesion):
+        # the shocks drawn a chunk at a time are the rows of one whole
+        # draw, and each chunk holds cohesion * shared + noise bit for bit
+        fed = FederationSpec.from_sizes((1001, 500, 301, 77, 12))
+        model = PreferenceModel(cohesion=cohesion, constituency=Distribution.normal(0.0, 0.3))
+        count = 3 * simulation.PIVOT_CHUNK + 5
+        rng = simulation._block_rng(62, 4)
+        noise = np.column_stack([sample_median_shock(n, UNIFORM, rng, count) for n in fed.populations])
+        shared = model.constituency.sample(rng, (count, 5))
+        expected = noise + cohesion * shared if cohesion else noise
+        chunks = list(_block_ideals(fed, model, 62, 4, count, shared_order=cohesion > 0))
+        assert len(chunks) == 4
+        np.testing.assert_array_equal(np.concatenate([c for c, _ in chunks]).view(np.int64), expected.view(np.int64))
+        if cohesion:
+            orders = np.concatenate([order for _, order in chunks])
+            np.testing.assert_array_equal(orders, np.argsort(shared, axis=1, kind="stable"))
 
 
 class TestEstimate:
