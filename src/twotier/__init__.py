@@ -41,7 +41,6 @@ from .simulation import (
     ordering_match_rate,
     sample_median_brute,
     sample_median_shock,
-    voter_influence,
 )
 from .experiments import (
     ExperimentConfig,
@@ -50,7 +49,6 @@ from .experiments import (
     build_weights,
     load_federation,
     run_experiment,
-    write_federation,
 )
 
 __all__ = [
@@ -82,14 +80,12 @@ __all__ = [
     "ordering_match_rate",
     "sample_median_brute",
     "sample_median_shock",
-    "voter_influence",
     "ExperimentConfig",
     "ExperimentRow",
     "InverseSolverOptions",
     "build_weights",
     "load_federation",
     "run_experiment",
-    "write_federation",
 ]
 
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ __all__ = [
     "ExperimentRow",
     "load_federation",
     "parse_key_values",
-    "write_federation",
     "build_weights",
     "run_experiment",
 ]
@@ -84,15 +83,6 @@ def load_federation(path) -> FederationSpec:
     return FederationSpec(tuple(names), tuple(populations))
 
 
-def write_federation(fed: FederationSpec, path) -> None:
-    """Write ``fed`` as the CSV that ``load_federation`` reads back unchanged."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "population"])
-        for name, population in zip(fed.names, fed.populations):
-            writer.writerow([name, population])
-
-
 @dataclass(frozen=True)
 class InverseSolverOptions:
     """Parameters for the shapley_inverse weight rule."""
@@ -114,7 +104,7 @@ def build_weights(
     rule: str,
     quota: Fraction | str | int,
     weight_total: int = 1000,
-    solver: InverseSolverOptions | None = None,
+    solver: InverseSolverOptions = InverseSolverOptions(),
 ) -> WeightedVotingGame:
     """Construct a voting game for a federation under a weight rule.
 
@@ -130,7 +120,6 @@ def build_weights(
         roots = [math.sqrt(p) for p in fed.populations]
         return WeightedVotingGame(tuple(largest_remainder(roots, weight_total)), quota)
     if rule == "shapley_inverse":
-        solver = solver or InverseSolverOptions()
         spec = InverseProblemSpec(
             target=fed.shares(),
             quota_ratio=quota,
@@ -160,6 +149,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quota_ratio", exact_quota(self.quota_ratio))
+        if not isinstance(self.solver, InverseSolverOptions):
+            raise TypeError(f"solver must be an InverseSolverOptions, got {self.solver!r}")
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ValueError("t_grid must be non-empty")

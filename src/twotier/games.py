@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -128,21 +128,6 @@ class WeightedVotingGame:
         from .power import _pivot_counts_by_size  # power imports this module
 
         return MappingProxyType(_pivot_counts_by_size(self))
-
-    def wins_weight(self, weight: int) -> bool:
-        """Exact test: does a coalition of this combined weight win?"""
-        return weight > self.bar
-
-    def coalition_weight(self, members: Iterable[int]) -> int:
-        weight = 0
-        for idx in set(members):
-            if not 0 <= idx < self.num_players:
-                raise IndexError(f"player index {idx} out of range for {self.num_players} players")
-            weight += self.weights[idx]
-        return weight
-
-    def is_winning(self, members: Iterable[int]) -> bool:
-        return self.wins_weight(self.coalition_weight(members))
 
     def to_text(self) -> str:
         """Serialize as ``q_num/q_den; w1,w2,...,wm``."""

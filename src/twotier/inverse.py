@@ -43,7 +43,7 @@ _EXHAUSTIVE_MAX_PLAYERS = 6
 
 
 def _norm_name(norm: str) -> str:
-    name = norm.lower()
+    name = norm.lower() if isinstance(norm, str) else None
     if name not in _NORMS:
         raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
     return name

@@ -42,7 +42,6 @@ __all__ = [
     "sample_median_brute",
     "estimate_pivot_probabilities",
     "ordering_match_rate",
-    "voter_influence",
     "fairness_deviation",
 ]
 
@@ -106,13 +105,6 @@ class Distribution:
         mean, std = self.params
         return rng.normal(mean, std, size)
 
-    @property
-    def variance(self) -> float:
-        if self.name == "uniform":
-            low, high = self.params
-            return (high - low) ** 2 / 12.0
-        return self.params[1] ** 2
-
 
 @dataclass(frozen=True)
 class FederationSpec:
@@ -159,7 +151,8 @@ class PreferenceModel:
     ``cohesion`` scales the constituency-level shock and so controls how
     similar opinions are within a constituency relative to across them.
     Defaults: voter noise uniform on [-0.5, 0.5], constituency shock normal
-    with variance 1e-8.
+    with variance 1e-8.  Construction refuses a bool, negative or non-finite
+    cohesion and a noise or shock that is not a ``Distribution``.
     """
 
     cohesion: float = 0.0
@@ -167,8 +160,11 @@ class PreferenceModel:
     constituency: Distribution = field(default=Distribution.normal(0.0, 1e-4))
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cohesion) and self.cohesion >= 0):
-            raise ValueError(f"cohesion must be finite and non-negative, got {self.cohesion}")
+        if isinstance(self.cohesion, bool) or not (math.isfinite(self.cohesion) and self.cohesion >= 0):
+            raise ValueError(f"cohesion must be finite and non-negative, got {self.cohesion!r}")
+        for name in ("idiosyncratic", "constituency"):
+            if not isinstance(getattr(self, name), Distribution):
+                raise TypeError(f"{name} must be a Distribution, got {getattr(self, name)!r}")
 
 
 def sample_median_shock(population: int, dist: Distribution, rng: np.random.Generator, size=None):
@@ -397,33 +393,16 @@ def ordering_match_rate(fed: FederationSpec, model: PreferenceModel, replication
     return sum(matches) / replications
 
 
-def _pivot_values(pi) -> list:
-    if isinstance(pi, PivotEstimate):
-        return list(pi.exact_shares())
-    return list(pi)
-
-
-def voter_influence(pi, fed: FederationSpec):
-    """Per-constituency influence of a single voter: pivot probability
-    divided by population.  Exact fractions in, exact fractions out;
-    float vectors yield a float array."""
-    values = _pivot_values(pi)
-    if len(values) != fed.num_constituencies:
-        raise ValueError("pivot vector and federation sizes differ")
-    if all(isinstance(v, (Fraction, int)) for v in values):
-        return [Fraction(v) / n for v, n in zip(values, fed.populations)]
-    return np.asarray(values, dtype=np.float64) / np.asarray(fed.populations, dtype=np.float64)
-
-
-def fairness_deviation(pi, fed: FederationSpec) -> float:
-    """L1 distance between all n voters' influence and the ideal 1/n each.
+def fairness_deviation(estimate: PivotEstimate, fed: FederationSpec) -> float:
+    """L1 distance between all n voters' influence, their constituency's
+    estimated pivot probability over its population, and the ideal 1/n each.
 
     Voters within a constituency share the same influence, so the n-term
     sum collapses to sum_i n_i * |pi_i / n_i - 1/n| = sum_i |pi_i - n_i/n|,
-    which is how it is evaluated.
+    which is how it is evaluated, in exact fractions.
     """
-    values = _pivot_values(pi)
-    if len(values) != fed.num_constituencies:
-        raise ValueError("pivot vector and federation sizes differ")
-    shares = fed.shares()
-    return float(sum(abs(Fraction(v) - s) for v, s in zip(values, shares)))
+    if not isinstance(estimate, PivotEstimate):
+        raise TypeError(f"fairness_deviation takes a PivotEstimate, got {type(estimate).__name__}")
+    if len(estimate.counts) != fed.num_constituencies:
+        raise ValueError("estimate and federation sizes differ")
+    return float(sum(abs(p - s) for p, s in zip(estimate.exact_shares(), fed.shares())))

@@ -1,10 +1,20 @@
 """Slow, independent oracles for pivot counts and Shapley-Shubik numerators,
 in plain Python ints: no tables, residues, deconvolution or limbs, so the
 fast paths of ``twotier.power`` are checked against code they do not share;
-and the closed-form spread of a sample median, against which the draws of
-``twotier.simulation.sample_median_shock`` are checked."""
+the win/lose decision by the quota's definition, with no ``bar``; and the
+closed-form spreads of a distribution and of a sample median, against which
+the draws of ``twotier.simulation`` are checked."""
 
 import math
+
+
+def wins(game, members):
+    """Does the coalition of player indices ``members`` (each counted once)
+    win ``game``?  By the quota's definition in integers: its weight w wins
+    iff w / total > q, that is w * q.denominator > q.numerator * total."""
+    quota = game.quota_ratio
+    weight = sum(game.weights[i] for i in set(members))
+    return weight * quota.denominator > quota.numerator * sum(game.weights)
 
 
 def reference_pivots(game):
@@ -45,6 +55,15 @@ def reference_numerators(game):
     return {w: sum(c * o for c, o in zip(pivots, weights)) for w, pivots in reference_pivots(game).items()}
 
 
+def variance(dist):
+    """Variance of a ``twotier.simulation.Distribution``: (high - low)^2 / 12
+    for uniform, std^2 for normal."""
+    if dist.name == "uniform":
+        low, high = dist.params
+        return (high - low) ** 2 / 12.0
+    return dist.params[1] ** 2
+
+
 def median_shock_variance(population, dist):
     """Variance of the sample median of ``population`` draws from ``dist``:
     the model's formula for the spread of a constituency's median shock.
@@ -64,4 +83,4 @@ def median_shock_variance(population, dist):
         var_high = (half + 1) * (n - half) / denom
         cov = half * (n - half) / denom
         return scale * (var_low + var_high + 2.0 * cov) / 4.0
-    return math.pi * dist.variance / (2.0 * n)
+    return math.pi * variance(dist) / (2.0 * n)

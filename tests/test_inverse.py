@@ -59,6 +59,12 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance((1,), (1,), "l3")
 
+    @pytest.mark.parametrize("norm", [1, None, b"l1"])
+    def test_non_string_norm_is_a_value_error(self, norm):
+        # the CLI reports a ValueError as a one-line diagnostic, an AttributeError not
+        with pytest.raises(ValueError, match="norm must be one of"):
+            InverseProblemSpec((0.5, 0.5), norm=norm)
+
     @pytest.mark.parametrize(
         "values, target, name",
         [((math.nan,), (1,), "values"), ((1,), (math.inf,), "target"), ((0.5, -math.inf), (0.5, 0.5), "values")],

@@ -21,7 +21,7 @@ from twotier import (
 )
 from twotier import power
 from twotier.power import _moduli, _pivot_counts_by_size
-from tests.reference import orderings, reference_numerators, reference_pivots
+from tests.reference import orderings, reference_numerators, reference_pivots, wins
 from tests.test_games import PROPERTY, games, random_game
 
 HALF = Fraction(1, 2)
@@ -35,7 +35,7 @@ def brute_force_banzhaf(game):
         others = [j for j in range(m) if j != i]
         for mask in range(1 << (m - 1)):
             members = [others[k] for k in range(m - 1) if (mask >> k) & 1]
-            if not game.is_winning(members) and game.is_winning(members + [i]):
+            if not wins(game, members) and wins(game, members + [i]):
                 swings += 1
         expected.append(F(swings, 2 ** (m - 1)))
     return tuple(expected)

@@ -23,7 +23,6 @@ from twotier import (
     sample_median_brute,
     sample_median_shock,
     shapley_shubik,
-    voter_influence,
 )
 from twotier import simulation
 from twotier.simulation import (
@@ -34,7 +33,7 @@ from twotier.simulation import (
     _pivot_counts,
     _sorted_order,
 )
-from tests.reference import median_shock_variance
+from tests.reference import median_shock_variance, variance
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -47,13 +46,15 @@ class TestDistribution:
         d = Distribution.uniform(-0.5, 0.5)
         assert d.ppf(0.5) == pytest.approx(0.0)
         assert d.ppf(1.0) == pytest.approx(0.5)
-        assert d.variance == pytest.approx(1 / 12)
+        assert variance(d) == pytest.approx(1 / 12)
+        assert d.sample(np.random.default_rng(52), 200_000).var() == pytest.approx(variance(d), rel=0.01)
 
     def test_normal_ppf(self):
         d = Distribution.normal(2.0, 3.0)
         assert d.ppf(0.5) == pytest.approx(2.0)
         assert d.ppf(stats.norm.cdf(1.0)) == pytest.approx(5.0)
-        assert d.variance == pytest.approx(9.0)
+        assert variance(d) == pytest.approx(9.0)
+        assert d.sample(np.random.default_rng(53), 200_000).var() == pytest.approx(variance(d), rel=0.01)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -180,6 +181,16 @@ class TestFederationAndModel:
     def test_model_rejects_non_finite_cohesion(self, cohesion):
         with pytest.raises(ValueError, match="finite"):
             PreferenceModel(cohesion=cohesion)
+
+    def test_model_rejects_bool_cohesion(self):
+        with pytest.raises(ValueError, match="cohesion"):
+            PreferenceModel(cohesion=True)
+
+    @pytest.mark.parametrize("name", ["idiosyncratic", "constituency"])
+    @pytest.mark.parametrize("bad", ["uniform", ("normal", (0.0, 1.0)), None])
+    def test_model_rejects_non_distribution(self, name, bad):
+        with pytest.raises(TypeError, match=f"{name} must be a Distribution"):
+            PreferenceModel(1.0, **{name: bad})
 
     def test_defaults(self):
         model = PreferenceModel()
@@ -489,57 +500,40 @@ class TestConvergenceToPowerIndex:
         assert np.all(np.abs(estimate.pi_hat - self.SSI) <= 4 * estimate.std_err)
 
 
-class TestVoterInfluence:
-    def test_exact_fractions(self):
-        fed = FederationSpec.from_sizes((42, 25, 24, 9))
-        influence = voter_influence((F(1, 2), F(1, 6), F(1, 6), F(1, 6)), fed)
-        assert influence == [F(1, 84), F(1, 150), F(1, 144), F(1, 54)]
-        assert sum(p * n for p, n in zip(influence, fed.populations)) == 1
-
-    def test_perfectly_fair(self):
-        fed = FederationSpec.from_sizes((2, 2))
-        assert voter_influence((F(1, 2), F(1, 2)), fed) == [F(1, 4), F(1, 4)]
-
-    def test_zero_probability_means_zero_influence(self):
-        fed = FederationSpec.from_sizes((5, 5))
-        assert voter_influence((F(1), F(0)), fed)[1] == 0
-
-    def test_float_input(self):
-        fed = FederationSpec.from_sizes((10, 20))
-        influence = voter_influence(np.array([0.5, 0.5]), fed)
-        assert influence == pytest.approx([0.05, 0.025])
-
-    def test_estimate_input(self):
-        fed = FederationSpec.from_sizes((10, 20))
-        estimate = PivotEstimate((30, 70), 100, 0)
-        assert voter_influence(estimate, fed) == [F(3, 100), F(7, 200)]
-
-
 class TestFairnessDeviation:
     def test_proportional_is_zero(self):
         fed = FederationSpec.from_sizes((42, 25, 24, 9))
-        assert fairness_deviation(fed.shares(), fed) == 0.0
+        assert fairness_deviation(PivotEstimate((42, 25, 24, 9), 100, 0), fed) == 0.0
 
     def test_fixture(self):
         fed = FederationSpec.from_sizes((42, 25, 24, 9))
-        value = fairness_deviation((F(1, 2), F(1, 6), F(1, 6), F(1, 6)), fed)
+        value = fairness_deviation(PivotEstimate((3, 1, 1, 1), 6, 0), fed)  # (1/2, 1/6, 1/6, 1/6)
         assert value == pytest.approx(47 / 150, abs=1e-12)
 
     def test_dictatorship_over_half(self):
         fed = FederationSpec.from_sizes((5, 5))
-        assert fairness_deviation((F(1), F(0)), fed) == pytest.approx(1.0)
+        assert fairness_deviation(PivotEstimate((1, 0), 1, 0), fed) == pytest.approx(1.0)
 
     def test_matches_expanded_voter_level_sum(self):
         rng = np.random.default_rng(49)
         for _ in range(20):
             sizes = tuple(int(s) for s in rng.integers(1, 500, 5))
             fed = FederationSpec.from_sizes(sizes)
-            pi = rng.dirichlet(np.ones(5))
+            counts = rng.multinomial(10_000, rng.dirichlet(np.ones(5)))
             total = fed.total_population
-            expanded = sum(
-                n * abs(p / n - 1 / total) for p, n in zip(pi.tolist(), sizes)
-            )
-            assert fairness_deviation(pi, fed) == pytest.approx(expanded, abs=1e-12)
+            expanded = sum(n * abs(c / 10_000 / n - 1 / total) for c, n in zip(counts.tolist(), sizes))
+            value = fairness_deviation(PivotEstimate(tuple(counts), 10_000, 0), fed)
+            assert value == pytest.approx(expanded, abs=1e-12)
+
+    @pytest.mark.parametrize("pi", [[-1, 2], [1, 2], (F(1, 2), F(1, 2)), np.array([0.5, 0.5])])
+    def test_refuses_anything_but_an_estimate(self, pi):
+        # a bare vector need not hold probabilities: [-1, 2] would read 3.0
+        with pytest.raises(TypeError, match="PivotEstimate"):
+            fairness_deviation(pi, FederationSpec.from_sizes((1, 1)))
+
+    def test_refuses_size_mismatch(self):
+        with pytest.raises(ValueError, match="sizes differ"):
+            fairness_deviation(PivotEstimate((1, 1), 2, 0), FederationSpec.from_sizes((1, 1, 1)))
 
 
 class TestOrderingMatchRate:
