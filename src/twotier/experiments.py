@@ -114,6 +114,8 @@ def build_weights(
     power vector approximates the population shares (L1 norm).
     """
     quota = exact_quota(quota)
+    if not isinstance(solver, InverseSolverOptions):
+        raise TypeError(f"solver must be an InverseSolverOptions, got {solver!r}")
     if rule == "proportional":
         return WeightedVotingGame(tuple(largest_remainder(fed.populations, weight_total)), quota)
     if rule == "square_root":
@@ -151,6 +153,9 @@ class ExperimentConfig:
         object.__setattr__(self, "quota_ratio", exact_quota(self.quota_ratio))
         if not isinstance(self.solver, InverseSolverOptions):
             raise TypeError(f"solver must be an InverseSolverOptions, got {self.solver!r}")
+        for name in ("t_grid", "rules"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ValueError("t_grid must be non-empty")

@@ -82,20 +82,31 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     players, hold them mod each modulus; ``_moved_pivots`` edits a table
     with the same moduli, and ``_exact_counts`` and ``_numerators`` read
     exact values from its gathered counts.
+
+    The adds leave the residues unreduced, and the filled rows are reduced
+    every k adds and after the last: an add at most doubles a residue, so
+    from [0, p) with p < 2^b, k = 63 - b adds stay below 2^63.  The moduli
+    keep b <= 63 - 8 (``_moduli``), so a table is reduced at most every 8
+    players, and the result is the table that reducing after every add gives.
     """
     m = len(weights)
     moduli = _moduli(m, width)
     padded = np.zeros((1 + len(moduli), m + 2, width), dtype=np.int64)
     padded[:, 1] = 1
+    headroom = 63 - max(moduli, default=1).bit_length()
     for rows, w in enumerate(weights, 3):
-        _add_player(padded[:, :rows], w, moduli)
+        _add_player(padded[:, :rows], w, ())
+        if (rows - 2) % headroom == 0 or rows == m + 2:
+            for p, layer in zip(moduli, padded[1:, :rows]):
+                layer %= p
     return padded
 
 
 def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
     """Add a player of weight w to a cumulative table in place, in
     O(m * width) per layer:  C'[s][x] = C[s][x] + C[s-1][x-w], each
-    residue layer reduced mod its modulus.  A player of weight >= width is
+    residue layer of ``moduli`` folded back into [0, p) (a table build
+    passes none and reduces later).  A player of weight >= width is
     in no coalition counted and changes nothing, here and in
     ``_remove_player``."""
     width = padded.shape[2]
@@ -275,69 +286,77 @@ def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[..., list
 
 
 def _moved_pivots(
-    weights: Sequence[int], quota: Fraction, moves: Collection[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, int], dict[int, int]]]:
-    """For each move (delta, u) of ``moves``, distinct pairs of delta = +-1
-    and a weight u of ``weights`` that leave some weight positive: the move
-    and the Shapley-Shubik numerators (index times m!), per weight, of the
-    game of ``weights`` with one player of weight u changed to u + delta.
+    weights: Sequence[int], quota: Fraction, batches: Sequence[Collection[tuple[int, int]]]
+) -> Iterator[dict[tuple[int, int], dict[int, int]]]:
+    """For each batch of ``batches`` in turn, scored only when the caller
+    asks for it, the moves (delta, u) scored so far, each mapped to the
+    Shapley-Shubik numerators (index times m!), per weight, of the game of
+    ``weights`` with one player of weight u changed to u + delta.  A move
+    pairs delta = +-1 with a weight u of ``weights`` and leaves some weight
+    positive; one scored for an earlier batch is not scored again.
 
     Both directions' totals pass the DP budget before the table of
-    ``weights`` is built, once, wide enough for the bar of the +1 games.
-    Each moved weight u is removed once, from a copy of that table, in
+    ``weights`` is built.  The table, wide enough for the bar of the +1
+    games, and each direction's gather plan, for the moves of every batch,
+    are built once, for the first batch that holds a move.  In a batch,
+    each moved weight u is removed once, from a copy of that table, in
     O(m * width) rather than O(m^2 * width) for a fresh table; the u + 1
     and u - 1 tables are copies of that one with u + delta added.  The
-    games of one delta share the bar and so every gather offset, planned
-    once per delta.  The tables are made for a chunk of u's at a time, the
-    +1 and the -1 stacks together at most ``_STACK_BYTES``; each stack is
-    gathered once per weight by ``_gather``, the game pass's gather, and
-    its numerators come from one ``_numerators`` call.
+    games of one delta share the bar and so every gather offset.  The
+    tables are made for a chunk of u's at a time, the +1 and the -1 stacks
+    together at most ``_STACK_BYTES``; each stack is gathered once per
+    weight by ``_gather``, the game pass's gather, and its numerators come
+    from one ``_numerators`` call.
     """
-    if not moves:
-        return
     m, total = len(weights), sum(weights)
-    deltas = [d for d in (1, -1) if any(move[0] == d for move in moves)]
+    deltas = [d for d in (1, -1) if any(move[0] == d for batch in batches for move in batch)]
     for delta in deltas:
         _check_budget(m, total + delta)
     width = _bar(quota, total + 1) + 1
     moduli = _moduli(m, width)
-    table = _cumulative_table(weights, width)
-    rows = table.shape[1]
-    plans = {
-        d: _gather_plan({*weights, *(u + d for e, u in moves if e == d)}, _bar(quota, total + d), rows, width)
-        for d in deltas
-    }
     numerators = _numerators(m, moduli)
-    moved = list(dict.fromkeys(u for _, u in moves))
-    size = min(max(1, _STACK_BYTES // (2 * table.nbytes)), len(moved))
-    stacks = {d: np.empty((size, *table.shape), dtype=table.dtype) for d in deltas}  # reused by every chunk
-    for first in range(0, len(moved), size):
-        games: dict[int, list[tuple[int, set[int]]]] = {1: [], -1: []}  # (u, distinct weights) per edited table
-        for u in moved[first : first + size]:
-            edits = [(stacks[d][len(games[d])], d) for d in deltas if (d, u) in moves]
-            removed = edits[0][0]
-            removed[...] = table
-            _remove_player(removed, u, moduli)
-            i = weights.index(u)
-            rest = {*weights[:i], *weights[i + 1 :]}
-            for edited, _ in edits[1:]:
-                edited[...] = removed
-            for edited, d in edits:
-                _add_player(edited, u + d, moduli)
-                games[d].append((u, rest | {u + d}))
-        for d in deltas:
-            n = len(games[d])
-            if not n:
-                continue
-            present = [ws for _, ws in games[d]]
-            order = list(set().union(*present))
-            counts = _gather(stacks[d][:n], plans[d], order)
-            # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
-            for g, ws in enumerate(present):
-                counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
-            values = numerators(counts)
-            for g, (u, ws) in enumerate(games[d]):
-                yield (d, u), {w: v for w, v in zip(order, values[g::n]) if w in ws}
+    shape = (1 + len(moduli), m + 2, width)
+    size = max(1, _STACK_BYTES // (2 * 8 * math.prod(shape)))  # int64 tables a stack holds
+    table = None
+    scored: dict[tuple[int, int], dict[int, int]] = {}
+    for batch in batches:
+        batch = [move for move in batch if move not in scored]
+        moved = list(dict.fromkeys(u for _, u in batch))
+        if moved and table is None:
+            table = _cumulative_table(weights, width)
+            plans = {
+                d: _gather_plan({*weights, *(u + e for b in batches for e, u in b if e == d)}, _bar(quota, total + d), m + 2, width)
+                for d in deltas
+            }
+        stacks = {d: np.empty((min(size, len(moved)), *shape), dtype=np.int64) for d in deltas}  # reused by every chunk
+        for first in range(0, len(moved), size):
+            games: dict[int, list[tuple[int, set[int]]]] = {1: [], -1: []}  # (u, distinct weights) per edited table
+            for u in moved[first : first + size]:
+                edits = [(stacks[d][len(games[d])], d) for d in deltas if (d, u) in batch]
+                removed = edits[0][0]
+                removed[...] = table
+                _remove_player(removed, u, moduli)
+                i = weights.index(u)
+                rest = {*weights[:i], *weights[i + 1 :]}
+                for edited, _ in edits[1:]:
+                    edited[...] = removed
+                for edited, d in edits:
+                    _add_player(edited, u + d, moduli)
+                    games[d].append((u, rest | {u + d}))
+            for d in deltas:
+                n = len(games[d])
+                if not n:
+                    continue
+                present = [ws for _, ws in games[d]]
+                order = list(set().union(*present))
+                counts = _gather(stacks[d][:n], plans[d], order)
+                # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
+                for g, ws in enumerate(present):
+                    counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
+                values = numerators(counts)
+                for g, (u, ws) in enumerate(games[d]):
+                    scored[d, u] = {w: v for w, v in zip(order, values[g::n]) if w in ws}
+        yield scored
 
 
 def _check_budget(num_players: int, total_weight: int) -> None:

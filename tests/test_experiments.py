@@ -111,6 +111,12 @@ class TestBuildWeights:
         with pytest.raises(ValueError, match="unknown weight rule"):
             build_weights(self.FED, "cube_root", HALF)
 
+    @pytest.mark.parametrize("rule", ["proportional", "shapley_inverse"])
+    @pytest.mark.parametrize("solver", [None, {"weight_sum_bound": 40}])
+    def test_solver_must_be_options(self, rule, solver):
+        with pytest.raises(TypeError, match="solver must be an InverseSolverOptions"):
+            build_weights(self.FED, rule, HALF, solver=solver)
+
 
 class TestExperimentConfig:
     def test_from_file(self, tmp_path):
@@ -207,6 +213,17 @@ class TestExperimentConfig:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown weight rule"):
             ExperimentConfig("f.csv", HALF, (1.0,), 10, 0, rules=("nearest",))
+
+    @pytest.mark.parametrize("rules", ["proportional", ""])
+    def test_rules_string_refused(self, rules):
+        # a string is iterable, and was read one character at a time
+        with pytest.raises(ValueError, match="rules must be a sequence, not the string"):
+            ExperimentConfig("f.csv", HALF, (1.0,), 10, 0, rules=rules)
+
+    @pytest.mark.parametrize("grid", ["1, 2", "5"])
+    def test_grid_string_refused(self, grid):
+        with pytest.raises(ValueError, match="t_grid must be a sequence, not the string"):
+            ExperimentConfig("f.csv", HALF, grid, 10, 0)
 
     @pytest.mark.parametrize(
         "name, value",

@@ -26,7 +26,7 @@ from twotier import (
     solve_exhaustive,
     solve_local_search,
 )
-from twotier import power
+from twotier import inverse, power
 from twotier import games as games_module
 from twotier.inverse import _NeighbourKeys, _numerator_key
 from twotier.power import _cumulative_table
@@ -398,7 +398,7 @@ class TestSolveLocalSearch:
                 (74, 63, 62, 58, 46, 39, 22, 19, 12, 12, 12, 11, 11, 11,
                  10, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 0),
                 34,
-                1861,
+                259,
                 0.013066041211063171,
             ),
             (
@@ -406,15 +406,16 @@ class TestSolveLocalSearch:
                 (77, 65, 64, 60, 47, 40, 21, 18, 12, 12, 11, 11, 11, 11,
                  9, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 1),
                 22,
-                1226,
+                184,
                 0.01238390571319555,
             ),
         ],
         ids=["q37_50", "q1_2"],
     )
     def test_eu28_search_path_pinned(self, quota, weights, steps, evaluations, l1):
-        # one restart runs only from the proportional start: the steepest
-        # +-1 descent must take the same path to the same vector
+        # one restart runs only from the proportional start: the gap-ordered
+        # batched descent reaches the vector, steps and distance that the
+        # steepest +-1 descent reached, scoring about a seventh as many vectors
         fed = load_federation(DATA / "eu28.csv")
         spec = InverseProblemSpec(
             target=fed.shares(), quota_ratio=quota, weight_sum_bound=500, restarts=1, max_steps=400
@@ -424,6 +425,24 @@ class TestSolveLocalSearch:
         assert solution.steps == steps
         assert solution.evaluations == evaluations
         assert solution.distance == l1
+
+    def test_step_takes_the_first_improving_batch(self):
+        # 7 players, so no class representatives seed extra starts.  The
+        # first batch of six gap-ordered moves holds an improving move, and
+        # a later batch a better one: the one step takes the first batch's
+        # best, after scoring only the start and that batch
+        raw = (56, 37, 55, 35, 20, 20, 59)
+        spec = InverseProblemSpec(target=tuple(F(r, sum(raw)) for r in raw), weight_sum_bound=43, restarts=1, max_steps=1)
+        start = (9, 6, 8, 5, 3, 3, 9)
+        assert tuple(largest_remainder(spec.target, 43)) == start
+        neighbours = gap_order(spec, start)
+        fresh = [fresh_key(spec, v) for v in neighbours]
+        first = min(range(6), key=fresh.__getitem__)
+        assert fresh[first] < fresh_key(spec, start)
+        assert min(fresh[6:]) < fresh[first]
+        solution = solve_local_search(spec)
+        assert solution.game.weights == neighbours[first]
+        assert (solution.steps, solution.evaluations) == (1, 7)
 
 
 @st.composite
@@ -456,41 +475,59 @@ def fresh_key(spec, vec):
     return _numerator_key(spec.target, spec.norm)([fresh[w] for w in vec])
 
 
-def check_neighbour_keys(spec, vec, tables=None):
-    """Every incremental key equals the key of a fresh exact index.  With
-    ``tables``, each of a step's +1 and -1 stacks holds at most that many
-    edited tables at a time."""
-    expected = []
-    for i, delta in itertools.product(range(len(vec)), (1, -1)):
-        v = vec[:i] + (vec[i] + delta,) + vec[i + 1 :]
-        if min(v) >= 0 and any(v):
-            expected.append(v)
+def gap_order(spec, vec):
+    """The +-1 neighbours of ``vec`` in the order a step scores them, from
+    reference numerators and exact Fractions: by descending
+    (target * m! - numerator) * delta, ties by player, +1 before -1."""
+    fresh = reference_numerators(WeightedVotingGame(vec, spec.quota_ratio))
+    m_fact = math.factorial(len(vec))
+    gaps = [t * m_fact - fresh[w] for t, w in zip(spec.target, vec)]
+    moves = sorted(itertools.product(range(len(vec)), (1, -1)), key=lambda move: (-gaps[move[0]] * move[1], move[0], -move[1]))
+    neighbours = [vec[:i] + (vec[i] + delta,) + vec[i + 1 :] for i, delta in moves]
+    return [v for v in neighbours if min(v) >= 0 and any(v)]
+
+
+def check_neighbour_keys(spec, vec, tables=None, size=None):
+    """Every incremental key equals the key of a fresh exact index, in gap
+    order, ``size`` neighbours a batch (all of them at once for None), from
+    one table built for the step.  With ``tables``, each of a batch's +1 and
+    -1 stacks holds at most that many edited tables at a time."""
+    expected = gap_order(spec, vec)
     keys = _NeighbourKeys(spec)
+    numerators = keys.numerators(vec)
+    size = size or len(expected)
     chunk_bytes = power._STACK_BYTES
     if tables is not None:
         chunk_bytes = 2 * tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
-    with mock.patch.object(power, "_STACK_BYTES", chunk_bytes):
-        scored = list(keys.neighbours(vec))
-    assert [v for v, _ in scored] == expected
-    assert [key for _, key in scored] == [fresh_key(spec, v) for v in expected]
+    build = mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table)
+    with mock.patch.object(power, "_STACK_BYTES", chunk_bytes), mock.patch.object(inverse, "_BATCH", size), build as built:
+        batches = list(keys.batches(vec, numerators))
+    assert built.call_count == 1
+    assert [len(batch) for batch in batches] == [len(expected[at : at + size]) for at in range(0, len(expected), size)]
+    scored = [entry for batch in batches for entry in batch]
+    assert [v for v, _, _ in scored] == expected
+    assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v in expected]
+    for v, _, moved in scored:
+        assert moved == reference_numerators(WeightedVotingGame(v, spec.quota_ratio))
     assert keys.of(vec) == fresh_key(spec, vec)
     assert len(keys.cache) == len(expected) + 1
 
 
 class TestNeighbourKeys:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(neighbour_cases().filter(lambda case: any(case[1])))
-    def test_equal_fresh_index_keys(self, case):
-        check_neighbour_keys(*case)
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.sampled_from([None, 1, 2, 6]))
+    def test_equal_fresh_index_keys(self, case, size):
+        check_neighbour_keys(*case, size=size)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         neighbour_cases(players=st.integers(12, 20), weights=st.integers(0, 40), distinct=True),
         st.integers(1, 4),
+        st.sampled_from([None, 6]),
     )
-    def test_equal_fresh_index_keys_across_chunks(self, case, tables):
+    def test_equal_fresh_index_keys_across_chunks(self, case, tables, size):
         # 12 or more distinct weights: each delta's tables span several chunks
-        check_neighbour_keys(*case, tables=tables)
+        check_neighbour_keys(*case, tables=tables, size=size)
 
     @settings(max_examples=2, deadline=None, derandomize=True)
     @given(neighbour_cases(players=st.just(66), weights=st.integers(0, 2)).filter(lambda case: any(case[1])))
@@ -498,7 +535,7 @@ class TestNeighbourKeys:
         # past C(m, m/2) >= 2^62 the counts are Python ints; one table per
         # chunk makes a delta with several weights span several chunks
         check_neighbour_keys(*case)
-        check_neighbour_keys(*case, tables=1)
+        check_neighbour_keys(*case, tables=1, size=6)
 
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(
@@ -514,25 +551,32 @@ class TestNeighbourKeys:
         # itself is checked at small m above)
         spec, vec = case
         assert _cumulative_table(vec, sum(vec) + 1).shape[0] > 1
-        check_neighbour_keys(*case, tables=1)
+        check_neighbour_keys(*case, tables=1, size=6)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(neighbour_cases().filter(lambda case: any(case[1])), st.data())
-    def test_partially_cached_steps(self, case, data):
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.integers(1, 6), st.data())
+    def test_partially_cached_steps(self, case, size, data):
         # a walk of three steps: the second finds its start cached, the third
-        # finds the start and some neighbours of the first step cached
+        # finds the start and some neighbours of the first step cached.  A
+        # step takes a prefix of its batches, and keys only their neighbours
         spec, current = case
         keys = _NeighbourKeys(spec)
         keyed = []
         numerator_key = keys.numerator_key
         keys.numerator_key = lambda numerators: keyed.append(numerators) or numerator_key(numerators)
+        numerators = keys.numerators(current)
         assert keys.of(current) == fresh_key(spec, current)
         seen = {current}
         for _ in range(3):
-            scored = list(keys.neighbours(current))
-            assert [key for _, key in scored] == [fresh_key(spec, v) for v, _ in scored]
-            seen.update(v for v, _ in scored)
-            current = data.draw(st.sampled_from([v for v, _ in scored]))
+            taken = data.draw(st.integers(1, 3))
+            with mock.patch.object(inverse, "_BATCH", size):
+                scored = [entry for batch in itertools.islice(keys.batches(current, numerators), taken) for entry in batch]
+            assert [v for v, _, _ in scored] == gap_order(spec, current)[: taken * size]
+            assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
+            seen.update(v for v, _, _ in scored)
+            current, _, moved = data.draw(st.sampled_from(scored))
+            numerators = keys.numerators(current) if moved is None else moved
+            assert numerators == reference_numerators(WeightedVotingGame(current, spec.quota_ratio))
         assert set(keys.cache) == seen
         assert len(keyed) == len(seen)  # each vector keyed once
 
@@ -543,6 +587,8 @@ class TestNeighbourKeys:
     def test_one_removal_per_moved_weight_and_one_plan_per_direction(self, vec, quota):
         spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
         width = games_module._bar(quota, sum(vec) + 1) + 1
+        keys = _NeighbourKeys(spec)
+        numerators = keys.numerators(vec)
         calls = {
             name: mock.patch.object(power, name, wraps=getattr(power, name))
             for name in ("_remove_player", "_gather_plan", "_gather")
@@ -550,13 +596,30 @@ class TestNeighbourKeys:
         # one table per stack: each direction's tables span several stacks
         with mock.patch.object(power, "_STACK_BYTES", 2 * _cumulative_table(vec, width).nbytes):
             with calls["_remove_player"] as remove, calls["_gather_plan"] as plan, calls["_gather"] as gather:
-                scored = list(_NeighbourKeys(spec).neighbours(vec))
-        assert [key for _, key in scored] == [fresh_key(spec, v) for v, _ in scored]
+                with mock.patch.object(inverse, "_BATCH", 2 * len(vec)):
+                    (scored,) = keys.batches(vec, numerators)  # the whole neighbourhood in one batch
+        assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
         moved = set(vec)  # every weight moves up; all but 0 also move down
         assert remove.call_count == len(moved)
         assert [c.args[1] for c in plan.call_args_list] == [games_module._bar(quota, sum(vec) + d) for d in (1, -1)]
         # one gather per stack: u = 0 has no -1 table
         assert gather.call_count == 2 * len(moved) - 1
+
+    def test_one_table_and_plan_per_step_for_any_batches(self):
+        # the first batch builds the table and both plans, for every batch;
+        # the later batches only edit copies of it
+        vec, quota = (9, 8, 1, 1, 0, 12, 3, 6, 6, 2, 5), F(37, 50)
+        spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
+        keys = _NeighbourKeys(spec)
+        numerators = keys.numerators(vec)
+        calls = {name: mock.patch.object(power, name, wraps=getattr(power, name)) for name in ("_cumulative_table", "_gather_plan")}
+        with calls["_cumulative_table"] as built, calls["_gather_plan"] as plan:
+            batches = keys.batches(vec, numerators)
+            first = next(batches)
+            assert (built.call_count, plan.call_count, len(keys.cache)) == (1, 2, 1 + len(first))
+            rest = list(batches)
+        assert (built.call_count, plan.call_count, len(rest)) == (1, 2, 3)
+        assert [v for batch in (first, *rest) for v, _, _ in batch] == gap_order(spec, vec)
 
     def test_budget_guard(self):
         # two players: a start of weight sum 1,000,001 needs 2,000,002 cells,
@@ -566,10 +629,11 @@ class TestNeighbourKeys:
         # at 1,000,000 the start is within the budget and scored; its +1
         # neighbours are refused before any table is built
         keys = _NeighbourKeys(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=1_000_000))
+        numerators = keys.numerators((500_000, 500_000))
         assert keys.of((500_000, 500_000)) == 0
         with mock.patch.object(power, "_cumulative_table", side_effect=AssertionError("built")):
             with pytest.raises(ResourceLimitError):
-                list(keys.neighbours((500_000, 500_000)))
+                list(keys.batches((500_000, 500_000), numerators))
 
 
 class TestSolve:

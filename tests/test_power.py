@@ -292,6 +292,27 @@ class TestPivotCounts:
             weights[i] = new
             assert np.array_equal(table, power._cumulative_table(weights, width))
 
+    @pytest.mark.parametrize("m", range(68, 73))
+    @pytest.mark.parametrize("width", ["2m", 256, 257, 512, 513])
+    def test_folded_every_k_players_equals_folded_every_player(self, m, width):
+        # a build reduces its residue layers every k adds, k = 8 up to
+        # width 256 and 9 past it, and after the last: the table must be the
+        # one that reducing after every add gives, weights at and past the
+        # width included
+        width = 2 * m if width == "2m" else width
+        layers = _moduli(m, width)
+        assert len(layers) >= 1
+        rng = np.random.default_rng(m * width)
+        weights = [int(w) for w in rng.integers(0, 12, m)]
+        weights[:3] = [width - 1, width, width + 5]
+        folded = np.zeros((1 + len(layers), m + 2, width), dtype=np.int64)
+        folded[:, 1] = 1
+        for rows, w in enumerate(weights, 3):
+            power._add_player(folded[:, :rows], w, layers)
+        table = power._cumulative_table(weights, width)
+        assert table.dtype == folded.dtype and table.shape == folded.shape
+        assert table.tobytes() == folded.tobytes()
+
     def test_one_pass_per_game(self, monkeypatch):
         built = []
         table = power._cumulative_table
