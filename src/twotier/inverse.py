@@ -299,9 +299,10 @@ class _NeighbourKeys:
     numerators, with no Fraction built.  A vector keyed alone reads the
     numerators of its game's pivot pass (``WeightedVotingGame._pivots``).
     A descent step keys its +-1 neighbours in gap order, a batch at a time:
-    one ``power._moved_pivots`` per step builds its table and gather plans
-    once and scores a batch's uncached moves (delta, u) when the step asks
-    for that batch.  Both come from the same gather and ``_numerators``."""
+    one ``power._moved_pivots`` per step takes its table once, edited from
+    the last step's, which ``held`` carries, where it can be
+    (``power._step_table``), and scores a batch's uncached moves (delta, u)
+    when the step asks for that batch.  Both come from one gather."""
 
     def __init__(self, spec: InverseProblemSpec):
         self.quota = spec.quota_ratio
@@ -311,6 +312,7 @@ class _NeighbourKeys:
         m_fact = math.factorial(spec.num_players)
         self.goals = [t.numerator * (self.scale // t.denominator) * m_fact for t in spec.target]
         self.cache: dict[tuple[int, ...], int] = {}
+        self.held: list = [(), None]
 
     def numerators(self, vec: tuple[int, ...]) -> dict[int, int]:
         """Numerators per weight of ``vec``'s game from its pivot pass,
@@ -344,7 +346,7 @@ class _NeighbourKeys:
                 steps.append((neighbour, (delta, current[i])))
         chunks = [steps[at : at + _BATCH] for at in range(0, len(steps), _BATCH)]
         pending = [[move for v, move in chunk if v not in self.cache] for chunk in chunks]
-        for chunk, scored in zip(chunks, _moved_pivots(current, self.quota, pending)):
+        for chunk, scored in zip(chunks, _moved_pivots(current, self.quota, pending, self.held)):
             for neighbour, move in chunk:  # one weight multiset per move: the same numerators per weight
                 if neighbour not in self.cache:
                     self.cache[neighbour] = self.numerator_key([scored[move][w] for w in neighbour])

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
 
 # cap on num_players * total_weight; the DP table holds about that many cells
 _DP_BUDGET = 2_000_000
-# bytes of edited tables that ``_moved_pivots`` holds at once, its +1 and -1 stacks together
+# bytes of edited tables, zero rows included, that ``_moved_pivots`` holds at once, +1 and -1 stacks together
 _STACK_BYTES = 1 << 19
 
 
@@ -45,8 +45,8 @@ def _moduli(num_players: int, width: int) -> tuple[int, ...]:
     ch. 5), which needs moduli that are odd and pairwise coprime, not prime.
     Each modulus p keeps p * max(width, 2m) < 2^63, so neither a row's
     running sum of residues, nor a removal's rows before they are reduced
-    (below (m + 1) * p), nor a gather of up to 2m signed residues
-    overflows int64.
+    (below (m + 1) * p), nor a gather's signed sums (within m + 2 moduli
+    of 0, see ``_gather``) overflows int64.
     """
     bound = math.comb(num_players - 1, (num_players - 1) // 2)
     candidate = 1 << (63 - (max(width, 2 * num_players) - 1).bit_length())
@@ -70,10 +70,10 @@ def _fold(layers: np.ndarray, moduli: Sequence[int]) -> None:
 
 def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """Cumulative counts C[s][x] of coalitions of size s and weight <= x
-    for x < width, below one zero row that stands for size -1, held as
-    int64 residue layers: an array of shape (layers, m + 2, width).
-    ``_gather`` clips a flat index below that row to its first cell, so
-    C[s-k] reads 0 for every k > s.
+    for x < width, below m zero rows (the first of them size -1), held as
+    int64 residue layers: an array of shape (layers, 2m + 1, width) whose
+    last m + 2 rows are live.  ``_gather`` reads the zero rows as C[s-k]
+    for every k > s; only the allocation writes them.
 
     The table is the table of no players, whose one empty coalition makes
     row 0 all ones, plus one ``_add_player`` per player on the rows that
@@ -91,23 +91,24 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """
     m = len(weights)
     moduli = _moduli(m, width)
-    padded = np.zeros((1 + len(moduli), m + 2, width), dtype=np.int64)
-    padded[:, 1] = 1
+    padded = np.zeros((1 + len(moduli), 2 * m + 1, width), dtype=np.int64)
+    table = padded[:, -(m + 2) :]
+    table[:, 1] = 1
     headroom = 63 - max(moduli, default=1).bit_length()
     for rows, w in enumerate(weights, 3):
-        _add_player(padded[:, :rows], w, ())
+        _add_player(table[:, :rows], w, ())
         if (rows - 2) % headroom == 0 or rows == m + 2:
-            for p, layer in zip(moduli, padded[1:, :rows]):
+            for p, layer in zip(moduli, table[1:, :rows]):
                 layer %= p
     return padded
 
 
 def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
-    """Add a player of weight w to a cumulative table in place, in
-    O(m * width) per layer:  C'[s][x] = C[s][x] + C[s-1][x-w], each
-    residue layer of ``moduli`` folded back into [0, p) (a table build
-    passes none and reduces later).  A player of weight >= width is
-    in no coalition counted and changes nothing, here and in
+    """Add a player of weight w to the m + 2 live rows of a cumulative
+    table in place, in O(m * width) per layer: C'[s][x] = C[s][x] +
+    C[s-1][x-w], each residue layer of ``moduli`` folded back into [0, p)
+    (a table build passes none and reduces later).  A player of weight >=
+    width is in no coalition counted and changes nothing, here and in
     ``_remove_player``."""
     width = padded.shape[2]
     if w < width:
@@ -118,7 +119,7 @@ def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
 
 
 def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
-    """Remove a player of weight w from a cumulative table in place, in
+    """Remove a player of weight w from the live rows of a table in place, in
     O(m * width) per layer: the recurrence of ``_add_player`` solved row by
     row, all layers at once, for the table without it,
     C'[s][x] = C[s][x] - C'[s-1][x-w].  A residue row s stays within s + 1
@@ -132,62 +133,44 @@ def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
             layer %= p
 
 
-def _gather_plan(
-    weights: Iterable[int], bar: int, rows: int, ncols: int
-) -> dict[int, tuple[np.ndarray, np.ndarray] | None]:
-    """The gather of ``_gather`` for each weight w in ``weights``,
-    planned once for every stack of cumulative tables of ``rows`` rows
-    (m + 2) and ``ncols`` columns whose games have the same largest losing
-    weight ``bar`` (``games._bar``): the flat indices, shape (k, m), and the
-    signs, shape (k,), that give w's pivots by size; None for w = 0, whose
-    player turns no coalition winning.
-
-    Removing a player of weight w obeys the knapsack recurrence, so the
-    cumulative counts without it are
-    Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]  over
-    k <= min(m-1, x // w), and its pivots of size s are
-    Cw[s][bar] - Cw[s][low-1]: an O(m * min(m, bar/w)) gather per distinct
-    weight (Uno 2012).  The tables must reach the bar.  Every weight's
-    indices come from one outer sum, of its offsets with each size's row.
-    """
-    m = rows - 2
-    alt = (-1) ** np.arange(m)
-    # signs[m - k_lo : m + k_hi]: -(-1)^k for k = k_lo-1 down to 0, then (-1)^k for k < k_hi
-    signs = np.concatenate((-alt[::-1], alt))
-    distinct = set(weights)
-    spans, offsets = {}, []
-    for w in distinct - {0}:
-        low = bar - w + 1  # lightest S that i turns winning: floor(q*T - w) + 1, w an integer
-        k_hi = min(m, bar // w + 1)
-        k_lo = min(m, (low - 1) // w + 1) if low > 0 else 0
-        step = ncols + w  # flat distance from C[s-k][x-k*w] to C[s-k-1][x-(k+1)*w]
-        spans[w] = len(offsets), k_lo, k_hi
-        # C[s-k][low-1-k*w] for k = k_lo-1 down to 0, then C[s-k][bar-k*w] for k < k_hi
-        offsets += [*range(low - 1 - step * (k_lo - 1), low, step), *range(bar, bar - step * k_hi, -step)]
-    index = np.add.outer(offsets, (1 + np.arange(m)) * ncols)  # rows start at C[s][0]
-    plan = {w: (index[at : at + k_lo + k_hi], signs[m - k_lo : m + k_hi]) for w, (at, k_lo, k_hi) in spans.items()}
-    plan.update(dict.fromkeys(distinct & {0}))
-    return plan
-
-
-def _gather(stack: np.ndarray, plan: dict[int, tuple[np.ndarray, np.ndarray] | None], order: Sequence[int]) -> np.ndarray:
-    """Apply a ``_gather_plan`` to a stack of n cumulative tables of the same
-    shape, (n, layers, m + 2, width), for each weight of ``order`` in turn:
+def _gather(stack: np.ndarray, bar: int, order: Sequence[int]) -> np.ndarray:
+    """Pivots by size of each weight of ``order`` in a stack of n
+    cumulative tables of the same shape, (n, layers, 2m + 1, width), whose
+    games have the same largest losing weight ``bar`` (``games._bar``):
     counts of shape (len(order) * n, layers, m) whose row j * n + g holds,
     by |S|, the coalitions S without one player of weight order[j] in game
-    g that the player turns winning, zeros for a weight planned as None.
-    The row of a game with no player of that weight is meaningless.  Each
-    count is exact mod 2^64 on layer 0, where int64 sums wrap, and within
-    2m moduli of 0 on a residue layer (see ``_moduli``).  The layers are
-    gathered as extra tables."""
+    g that the player turns winning; zeros for weight 0.  The row of a
+    game with no player of that weight is meaningless.  Each count is exact
+    mod 2^64 on layer 0, where int64 sums wrap, and within m + 2 moduli of
+    0 on a residue layer (see ``_moduli``).  The tables must reach the bar.
+
+    Removing a player of weight w obeys the knapsack recurrence, so the
+    cumulative counts without it are Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]
+    over k <= min(m-1, x // w), and its pivots of size s are
+    Cw[s][bar] - Cw[s][bar-w] (Uno 2012).  With K = min(m, bar // w) + 1
+    and P[s] = sum_(k<K) (-1)^k C[s-k][bar-k*w] for s <= m, that is
+    P[s] + P[s+1] - C[s+1][bar], as C[s-k][bar-w-k*w] is term k + 1 of
+    P[s+1].  In a table's flat cells C[s-k][bar-k*w] lies k * (width + w)
+    before C[s][bar], and C[s][bar] width after C[s-1][bar], so the terms
+    of P are one strided view of the stack, (n * layers, K, m + 1), and P
+    is one matmul of it with the signs: no index array, no copy.  The m
+    zero rows of ``_cumulative_table`` keep the view inside the stack and
+    make each C[s-k] with k > s read 0.
+    """
     n, layers, rows, width = stack.shape
-    flat = stack.reshape(n * layers, rows * width)
-    counts = np.zeros((len(order), n * layers, rows - 2), dtype=stack.dtype)
+    m = rows // 2  # rows = 2m + 1
+    signs = (-1) ** np.arange(m + 1)
+    sums = np.zeros((len(order), n * layers, m + 1), dtype=np.int64)  # P
     for j, w in enumerate(order):
-        if plan[w] is not None:
-            index, signs = plan[w]
-            counts[j] = signs @ flat.take(index, axis=1, mode="clip")
-    return counts.reshape(len(order) * n, layers, rows - 2)
+        if w:
+            k = min(m, bar // w) + 1
+            strides = (8 * rows * width, -8 * (width + w), 8 * width)  # bytes, as the tables are int64
+            terms = np.ndarray((n * layers, k, m + 1), np.int64, stack, 8 * ((rows - m - 1) * width + bar), strides)
+            np.matmul(signs[:k], terms, out=sums[j])
+    counts = sums[:, :, :-1] + sums[:, :, 1:]
+    counts -= stack[:, :, rows - m :, bar].reshape(n * layers, m)
+    counts[[j for j, w in enumerate(order) if not w]] = 0
+    return counts.reshape(len(order) * n, layers, m)
 
 
 def _exact_counts(counts: np.ndarray, moduli: Sequence[int]) -> list[list[int]]:
@@ -219,7 +202,7 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[tuple[int
     m, width = game.num_players, game.bar + 1
     _check_budget(m, game.total_weight)
     order = list(dict.fromkeys(game.weights))
-    counts = _gather(_cumulative_table(game.weights, width)[None], _gather_plan(order, game.bar, m + 2, width), order)
+    counts = _gather(_cumulative_table(game.weights, width)[None], game.bar, order)
     moduli = _moduli(m, width)
     pivots = _exact_counts(counts, moduli)
     return {w: (tuple(c), v) for w, c, v in zip(order, pivots, _numerators(m, moduli)(counts, pivots))}
@@ -285,8 +268,27 @@ def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[..., list
     return join
 
 
+def _step_table(held: list, weights: tuple[int, ...], width: int) -> np.ndarray:
+    """The cumulative table of ``weights`` for a step that reads ``width``
+    columns.  ``held`` is [vector, table], the last step's: if ``weights``
+    is one +-1 move from that vector and the table is at least ``width``
+    wide, the table is edited in place, by one removal and one add with the
+    moduli of its own width; else a new one is built ``width`` wide.
+    ``held`` then holds ``weights`` and it."""
+    vector, table = held
+    moved = [(v, w) for v, w in zip(vector, weights) if v != w]
+    if len(moved) == 1 and abs(moved[0][0] - moved[0][1]) == 1 and table.shape[2] >= width:
+        live, moduli = table[:, -(len(weights) + 2) :], _moduli(len(weights), table.shape[2])
+        _remove_player(live, moved[0][0], moduli)
+        _add_player(live, moved[0][1], moduli)
+    else:
+        table = _cumulative_table(weights, width)
+    held[:] = weights, table
+    return table
+
+
 def _moved_pivots(
-    weights: Sequence[int], quota: Fraction, batches: Sequence[Collection[tuple[int, int]]]
+    weights: tuple[int, ...], quota: Fraction, batches: Sequence[Collection[tuple[int, int]]], held: list
 ) -> Iterator[dict[tuple[int, int], dict[int, int]]]:
     """For each batch of ``batches`` in turn, scored only when the caller
     asks for it, the moves (delta, u) scored so far, each mapped to the
@@ -295,46 +297,42 @@ def _moved_pivots(
     pairs delta = +-1 with a weight u of ``weights`` and leaves some weight
     positive; one scored for an earlier batch is not scored again.
 
-    Both directions' totals pass the DP budget before the table of
-    ``weights`` is built.  The table, wide enough for the bar of the +1
-    games, and each direction's gather plan, for the moves of every batch,
-    are built once, for the first batch that holds a move.  In a batch,
-    each moved weight u is removed once, from a copy of that table, in
-    O(m * width) rather than O(m^2 * width) for a fresh table; the u + 1
-    and u - 1 tables are copies of that one with u + delta added.  The
-    games of one delta share the bar and so every gather offset.  The
-    tables are made for a chunk of u's at a time, the +1 and the -1 stacks
-    together at most ``_STACK_BYTES``; each stack is gathered once per
-    weight by ``_gather``, the game pass's gather, and its numerators come
-    from one ``_numerators`` call.
+    Both directions' totals pass the DP budget before any table work.  The
+    table of ``weights``, wide enough for the bar of the +1 games, is taken
+    from ``_step_table`` and ``held`` (which carries it to the next step, so
+    a later step must not resume this one) for the first batch that holds a
+    move.  In a batch, each moved weight u is removed once, from a copy of
+    it, in O(m * width) rather than O(m^2 * width) for a fresh table; the
+    u + 1 and u - 1 tables are copies of that one with u + delta added, all
+    on the m + 2 live rows only.  They fill, a chunk of u's at a time, a +1
+    and a -1 stack, zeroed once per call and together at most
+    ``_STACK_BYTES``; each stack (its games share the bar) is gathered once
+    by ``_gather``, and its numerators come from one ``_numerators`` call.
     """
     m, total = len(weights), sum(weights)
     deltas = [d for d in (1, -1) if any(move[0] == d for batch in batches for move in batch)]
     for delta in deltas:
         _check_budget(m, total + delta)
-    width = _bar(quota, total + 1) + 1
-    moduli = _moduli(m, width)
-    numerators = _numerators(m, moduli)
-    shape = (1 + len(moduli), m + 2, width)
-    size = max(1, _STACK_BYTES // (2 * 8 * math.prod(shape)))  # int64 tables a stack holds
     table = None
     scored: dict[tuple[int, int], dict[int, int]] = {}
     for batch in batches:
         batch = [move for move in batch if move not in scored]
         moved = list(dict.fromkeys(u for _, u in batch))
-        if moved and table is None:
-            table = _cumulative_table(weights, width)
-            plans = {
-                d: _gather_plan({*weights, *(u + e for b in batches for e, u in b if e == d)}, _bar(quota, total + d), m + 2, width)
-                for d in deltas
-            }
-        stacks = {d: np.empty((min(size, len(moved)), *shape), dtype=np.int64) for d in deltas}  # reused by every chunk
+        if not moved:
+            yield scored
+            continue
+        if table is None:
+            table = _step_table(held, weights, _bar(quota, total + 1) + 1)
+            moduli = _moduli(m, table.shape[2])
+            numerators = _numerators(m, moduli)
+            size = max(1, _STACK_BYTES // (2 * table.nbytes))  # tables a stack holds
+            stacks = {d: np.zeros((min(size, max(map(len, batches))), *table.shape), dtype=np.int64) for d in deltas}
         for first in range(0, len(moved), size):
             games: dict[int, list[tuple[int, set[int]]]] = {1: [], -1: []}  # (u, distinct weights) per edited table
             for u in moved[first : first + size]:
-                edits = [(stacks[d][len(games[d])], d) for d in deltas if (d, u) in batch]
+                edits = [(stacks[d][len(games[d]), :, -(m + 2) :], d) for d in deltas if (d, u) in batch]
                 removed = edits[0][0]
-                removed[...] = table
+                removed[...] = table[:, -(m + 2) :]
                 _remove_player(removed, u, moduli)
                 i = weights.index(u)
                 rest = {*weights[:i], *weights[i + 1 :]}
@@ -349,7 +347,7 @@ def _moved_pivots(
                     continue
                 present = [ws for _, ws in games[d]]
                 order = list(set().union(*present))
-                counts = _gather(stacks[d][:n], plans[d], order)
+                counts = _gather(stacks[d][:n], _bar(quota, total + d), order)
                 # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
                 for g, ws in enumerate(present):
                     counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0

@@ -29,7 +29,7 @@ from twotier import (
 from twotier import inverse, power
 from twotier import games as games_module
 from twotier.inverse import _NeighbourKeys, _numerator_key
-from twotier.power import _cumulative_table
+from twotier.power import _cumulative_table, _moduli
 from tests.reference import reference_numerators
 
 HALF = Fraction(1, 2)
@@ -391,7 +391,7 @@ class TestSolveLocalSearch:
         assert solution.distance < proportional_distance
 
     @pytest.mark.parametrize(
-        "quota, weights, steps, evaluations, l1",
+        "quota, weights, steps, evaluations, builds, l1",
         [
             (
                 F(37, 50),
@@ -399,6 +399,7 @@ class TestSolveLocalSearch:
                  10, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 0),
                 34,
                 259,
+                11,
                 0.013066041211063171,
             ),
             (
@@ -407,23 +408,29 @@ class TestSolveLocalSearch:
                  9, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 1),
                 22,
                 184,
+                11,
                 0.01238390571319555,
             ),
         ],
         ids=["q37_50", "q1_2"],
     )
-    def test_eu28_search_path_pinned(self, quota, weights, steps, evaluations, l1):
+    def test_eu28_search_path_pinned(self, quota, weights, steps, evaluations, builds, l1):
         # one restart runs only from the proportional start: the gap-ordered
         # batched descent reaches the vector, steps and distance that the
-        # steepest +-1 descent reached, scoring about a seventh as many vectors
+        # steepest +-1 descent reached, scoring about a seventh as many
+        # vectors.  The steps carry their table: 9 of the 35 and 23 step
+        # tables are built (a step that needs a wider table rebuilds it), and
+        # the pivot passes of the start and of the solution build the other 2
         fed = load_federation(DATA / "eu28.csv")
         spec = InverseProblemSpec(
-            target=fed.shares(), quota_ratio=quota, weight_sum_bound=500, restarts=1, max_steps=400
+            target=fed.shares(), quota_ratio=quota, weight_sum_bound=500, restarts=1, max_steps=400, seed=11
         )
-        solution = solve_local_search(spec)
+        with mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table) as built:
+            solution = solve_local_search(spec)
         assert solution.game.weights == weights
         assert solution.steps == steps
         assert solution.evaluations == evaluations
+        assert built.call_count == builds
         assert solution.distance == l1
 
     def test_step_takes_the_first_improving_batch(self):
@@ -513,6 +520,50 @@ def check_neighbour_keys(spec, vec, tables=None, size=None):
     assert len(keys.cache) == len(expected) + 1
 
 
+def walk_carried_table(spec, current, data, steps, restart, sizes=st.integers(1, 6), prefixes=st.integers(1, 3)):
+    """Score a prefix of each step's batches, at least one that keys a
+    vector where there is one, over a walk of ``steps`` +-1 moves, +1 on
+    even steps, so that the step table must grow, and -1 on odd ones, with
+    a restart from a vector drawn from ``restart`` halfway.
+    After every step the held table is bitwise a fresh table of its vector
+    at its width, every key is the fresh key, and a step that scores a
+    move builds no table exactly when it is one +-1 move from the held
+    vector and the held table is as wide as the step needs.  Returns
+    (held width, needed width) for each step that edited the held table."""
+    keys = _NeighbourKeys(spec)
+    edited = []
+    for step in range(steps):
+        if step == steps // 2:
+            current = data.draw(restart)
+        vector, table = keys.held
+        width = games_module._bar(spec.quota_ratio, sum(current) + 1) + 1
+        carried = sum(abs(v - w) for v, w in zip(vector, current)) == 1 and table.shape[2] >= width
+        size, taken, cached = data.draw(sizes), data.draw(prefixes), len(keys.cache)
+        numerators = reference_numerators(WeightedVotingGame(current, spec.quota_ratio))
+        build = mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table)
+        with build as built, mock.patch.object(inverse, "_BATCH", size):
+            scored = []
+            for batch in keys.batches(current, numerators):  # ``taken`` batches, and on until one keys a vector
+                scored += batch
+                if len(scored) >= taken * size and len(keys.cache) > cached:
+                    break
+        assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
+        if len(keys.cache) > cached:  # the step scored a move, so it took a table
+            assert (built.call_count, keys.held[0]) == (0 if carried else 1, current)
+            edited += [(table.shape[2], width)] if carried else []
+        else:
+            assert (built.call_count, keys.held[0]) == (0, vector)
+        vector, table = keys.held
+        fresh = _cumulative_table(vector, table.shape[2])
+        assert table.shape == fresh.shape and table.tobytes() == fresh.tobytes()
+        delta = 1 if step % 2 == 0 else -1
+        players = [i for i, w in enumerate(current) if w + delta >= 0 and sum(current) + delta > 0]
+        if players:
+            i = data.draw(st.sampled_from(players))
+            current = current[:i] + (current[i] + delta,) + current[i + 1 :]
+    return edited
+
+
 class TestNeighbourKeys:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(neighbour_cases().filter(lambda case: any(case[1])), st.sampled_from([None, 1, 2, 6]))
@@ -584,42 +635,73 @@ class TestNeighbourKeys:
         "vec, quota",
         [((5, 3, 3, 2, 1, 0, 7, 7, 4), HALF), ((9, 8, 1, 1, 0, 12, 3, 6, 6, 2, 5), F(37, 50))],
     )
-    def test_one_removal_per_moved_weight_and_one_plan_per_direction(self, vec, quota):
+    def test_one_removal_per_weight_and_gather_per_stack(self, vec, quota):
         spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
         width = games_module._bar(quota, sum(vec) + 1) + 1
         keys = _NeighbourKeys(spec)
         numerators = keys.numerators(vec)
         calls = {
             name: mock.patch.object(power, name, wraps=getattr(power, name))
-            for name in ("_remove_player", "_gather_plan", "_gather")
+            for name in ("_remove_player", "_cumulative_table", "_gather")
         }
+
+        def step(vec, numerators):  # the whole neighbourhood in one batch
+            with calls["_remove_player"] as remove, calls["_cumulative_table"] as built, calls["_gather"] as gather:
+                with mock.patch.object(inverse, "_BATCH", 2 * len(vec)):
+                    (scored,) = keys.batches(vec, numerators)
+            assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
+            return scored, remove.call_count, built.call_count, gather.call_count
+
         # one table per stack: each direction's tables span several stacks
         with mock.patch.object(power, "_STACK_BYTES", 2 * _cumulative_table(vec, width).nbytes):
-            with calls["_remove_player"] as remove, calls["_gather_plan"] as plan, calls["_gather"] as gather:
-                with mock.patch.object(inverse, "_BATCH", 2 * len(vec)):
-                    (scored,) = keys.batches(vec, numerators)  # the whole neighbourhood in one batch
-        assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
-        moved = set(vec)  # every weight moves up; all but 0 also move down
-        assert remove.call_count == len(moved)
-        assert [c.args[1] for c in plan.call_args_list] == [games_module._bar(quota, sum(vec) + d) for d in (1, -1)]
-        # one gather per stack: u = 0 has no -1 table
-        assert gather.call_count == 2 * len(moved) - 1
+            scored, removals, builds, gathers = step(vec, numerators)
+            moved = set(vec)  # every weight moves up; all but 0 also move down
+            # one gather per stack: u = 0 has no -1 table
+            assert (removals, builds, gathers) == (len(moved), 1, 2 * len(moved) - 1)
+            # one -1 move on, the held table is wide enough: it is edited by
+            # one more removal, and no table is built
+            after, _, carried = next(entry for entry in scored if sum(entry[0]) < sum(vec))
+            neighbours = [(after[:i] + (after[i] + d,) + after[i + 1 :], (d, after[i])) for i in range(len(vec)) for d in (1, -1)]
+            pending = {move for v, move in neighbours if min(v) >= 0 and v not in keys.cache}
+            assert keys.held[0] == vec
+            _, removals, builds, _ = step(after, carried)
+        assert (removals, builds, keys.held[0]) == (1 + len({u for _, u in pending}), 0, after)
 
-    def test_one_table_and_plan_per_step_for_any_batches(self):
-        # the first batch builds the table and both plans, for every batch;
-        # the later batches only edit copies of it
+    def test_one_table_per_step_for_any_batches(self):
+        # the first batch takes the table, for every batch; the later
+        # batches only edit copies of it
         vec, quota = (9, 8, 1, 1, 0, 12, 3, 6, 6, 2, 5), F(37, 50)
         spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
         keys = _NeighbourKeys(spec)
         numerators = keys.numerators(vec)
-        calls = {name: mock.patch.object(power, name, wraps=getattr(power, name)) for name in ("_cumulative_table", "_gather_plan")}
-        with calls["_cumulative_table"] as built, calls["_gather_plan"] as plan:
+        calls = {name: mock.patch.object(power, name, wraps=getattr(power, name)) for name in ("_cumulative_table", "_step_table")}
+        with calls["_cumulative_table"] as built, calls["_step_table"] as taken:
             batches = keys.batches(vec, numerators)
             first = next(batches)
-            assert (built.call_count, plan.call_count, len(keys.cache)) == (1, 2, 1 + len(first))
+            assert (built.call_count, taken.call_count, len(keys.cache)) == (1, 1, 1 + len(first))
             rest = list(batches)
-        assert (built.call_count, plan.call_count, len(rest)) == (1, 2, 3)
+        assert (built.call_count, taken.call_count, len(rest)) == (1, 1, 3)
         assert [v for batch in (first, *rest) for v, _, _ in batch] == gap_order(spec, vec)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.data())
+    def test_carried_table_equals_a_fresh_table(self, case, data):
+        spec, vec = case
+        restart = st.lists(st.integers(0, 8), min_size=len(vec), max_size=len(vec)).filter(any).map(tuple)
+        walk_carried_table(spec, vec, data, 8, restart)
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(st.integers(68, 72), st.data())
+    def test_carried_table_equals_a_fresh_table_residue_layers(self, m, data):
+        # weight totals 510 and 511 at q = 1/2 need step tables 256 and 257
+        # wide, on either side of a change of moduli: a table built 257 wide
+        # is carried into a step that needs 256, with the moduli of 257
+        assert len(_moduli(m, 256)) == len(_moduli(m, 257)) == 1 and _moduli(m, 256) != _moduli(m, 257)
+        raw = data.draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))
+        spec = InverseProblemSpec(target=tuple(F(r, sum(raw)) for r in raw))
+        vectors = st.permutations((8,) * (510 - 7 * m) + (7,) * (8 * m - 510)).map(tuple)
+        edited = walk_carried_table(spec, data.draw(vectors), data, 6, vectors, sizes=st.just(6), prefixes=st.just(1))
+        assert (257, 256) in edited
 
     def test_budget_guard(self):
         # two players: a start of weight sum 1,000,001 needs 2,000,002 cells,

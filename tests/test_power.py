@@ -244,12 +244,13 @@ class TestPivotCounts:
         assert shapley_shubik(game) == tuple(F(expected[w][1], m_fact) for w in game.weights)
         assert banzhaf(game) == tuple(F(sum(expected[w][0]), swing) for w in game.weights)
         # every cell of the whole table, those no gather reads included:
-        # layer 0 holds the counts mod 2^64, each residue layer mod its modulus
+        # m zero rows (size -1 and the m - 1 below it), then layer 0 holds
+        # the counts mod 2^64, each residue layer mod its modulus
         table = power._cumulative_table(game.weights, bar + 1)
         counts = reference_table(game.weights, bar + 1)
-        assert table.shape[0] == 1 + moduli and not table[:, 0].any()
+        assert table.shape[:2] == (1 + moduli, 2 * m + 1) and not table[:, :m].any()
         for layer, modulus in zip(table, (1 << 64, *_moduli(m, bar + 1))):
-            assert layer[1:].astype(np.uint64).tolist() == [[c % modulus for c in row] for row in counts]
+            assert layer[m:].astype(np.uint64).tolist() == [[c % modulus for c in row] for row in counts]
 
     @pytest.mark.parametrize("m, bar", [(57, 210), (70, 512)])
     def test_exact_counts_rebuilt_once_per_pass(self, m, bar, monkeypatch):
@@ -310,8 +311,28 @@ class TestPivotCounts:
         for rows, w in enumerate(weights, 3):
             power._add_player(folded[:, :rows], w, layers)
         table = power._cumulative_table(weights, width)
-        assert table.dtype == folded.dtype and table.shape == folded.shape
-        assert table.tobytes() == folded.tobytes()
+        assert table.dtype == folded.dtype and table.shape == (len(folded), 2 * m + 1, width)
+        assert not table[:, : m - 1].any() and table[:, m - 1 :].tobytes() == folded.tobytes()
+
+    @pytest.mark.parametrize("m", range(68, 73))
+    @pytest.mark.parametrize("width", ["2m", 256, 257, 512, 513])
+    def test_gather_equals_reference_numerators(self, m, width):
+        # a stack of two residue-layer tables whose games share the bar:
+        # each weight's gathered counts give its reference numerator, for
+        # weight 0, weight 1 (every k < m read), and one past the bar
+        width = 2 * m if width == "2m" else width
+        bar = width - 1
+        step = 2 * bar // m
+        rest = np.random.default_rng(m * width).multinomial(bar, [1 / (m - 1)] * (m - 1))
+        games = [game_at_bar(m, bar, (0, 1, step, step + 1), seed=m * width), WeightedVotingGame((bar + 1, *rest), HALF)]
+        assert [game.bar for game in games] == [bar, bar] and len(_moduli(m, width)) == 1
+        stack = np.stack([power._cumulative_table(game.weights, width) for game in games])
+        order = sorted({w for game in games for w in game.weights})
+        assert order[:2] == [0, 1] and order[-1] > bar
+        numerators = power._numerators(m, _moduli(m, width))(power._gather(stack, bar, order))
+        for g, game in enumerate(games):
+            expected = reference_numerators(game)
+            assert {w: numerators[2 * j + g] for j, w in enumerate(order) if w in expected} == expected
 
     def test_one_pass_per_game(self, monkeypatch):
         built = []
@@ -353,8 +374,8 @@ class TestNumerators:
         width = game.bar + 1
         order = list(dict.fromkeys(game.weights))
         stack = power._cumulative_table(game.weights, width)[None]
-        counts = power._gather(stack, power._gather_plan(order, game.bar, *stack.shape[2:]), order)
-        assert counts.shape == (len(order), 2, 70) and not counts[order.index(0)].any()  # 0 is planned as None
+        counts = power._gather(stack, game.bar, order)
+        assert counts.shape == (len(order), 2, 70) and not counts[order.index(0)].any()  # weight 0 gathers zeros
         numerators = power._numerators(70, _moduli(70, width))(counts)
         expected = reference_numerators(game)
         assert numerators == [expected[w] for w in order] and max(numerators) > 1 << 64
