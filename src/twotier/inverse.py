@@ -75,7 +75,8 @@ def _numerator_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[
     l1/linf, the squared distance for l2 (same ordering, avoids irrational
     square roots), each scaled by L = lcm(m!, target denominators) so that
     it is an integer.  The scaling is exact, so the order, ties included, is
-    that of the rational distance."""
+    that of the rational distance.  The key carries its ``unit`` and
+    ``goal``: goal - numerator * unit is a player's signed gap in its units."""
     m_fact = math.factorial(len(target))
     scale = math.lcm(m_fact, *(t.denominator for t in target))
     unit = scale // m_fact
@@ -89,6 +90,7 @@ def _numerator_key(target: Sequence[Fraction], norm: str) -> Callable[[Sequence[
             return sum(d * d for d in diffs)
         return max(diffs)
 
+    key.unit, key.goal = unit, goal
     return key
 
 
@@ -307,10 +309,7 @@ class _NeighbourKeys:
     def __init__(self, spec: InverseProblemSpec):
         self.quota = spec.quota_ratio
         self.numerator_key = _numerator_key(spec.target, spec.norm)
-        # a player's gap, target * m! - numerator, times the lcm of the target denominators
-        self.scale = math.lcm(*(t.denominator for t in spec.target))
-        m_fact = math.factorial(spec.num_players)
-        self.goals = [t.numerator * (self.scale // t.denominator) * m_fact for t in spec.target]
+        self.unit, self.goal = self.numerator_key.unit, self.numerator_key.goal
         self.cache: dict[tuple[int, ...], int] = {}
         self.held: list = [(), None]
 
@@ -333,11 +332,12 @@ class _NeighbourKeys:
     ) -> Iterator[list[tuple[tuple[int, ...], int, dict[int, int] | None]]]:
         """The +-1 neighbours of ``current`` (weights non-negative, not all
         zero), whose numerators per weight are ``numerators``, ``_BATCH`` at
-        a time by descending gap * delta: the +1 moves of under-powered
-        players first, the -1 moves of over-powered players last, ties by
-        player, +1 first.  Each comes with its key and its game's numerators
-        per weight, or None where the step scored no move to its weights."""
-        gaps = [g - numerators[w] * self.scale for g, w in zip(self.goals, current)]
+        a time by descending gap * delta: first the moves that narrow a gap,
+        +1 of under-powered and -1 of over-powered players interleaved by
+        gap size, and last those that widen one; ties by player, +1 first.
+        Each comes with its key and its game's numerators per weight, or
+        None where the step scored no move to its weights."""
+        gaps = [g - numerators[w] * self.unit for g, w in zip(self.goal, current)]
         moves = sorted(itertools.product(range(len(current)), (1, -1)), key=lambda m: (-gaps[m[0]] * m[1], m[0], -m[1]))
         steps = []
         for i, delta in moves:

@@ -28,7 +28,7 @@ __all__ = [
 
 # cap on num_players * total_weight; the DP table holds about that many cells
 _DP_BUDGET = 2_000_000
-# bytes of edited tables, zero rows included, that ``_moved_pivots`` holds at once, +1 and -1 stacks together
+# bytes of edited tables, zero rows included, that ``_moved_pivots`` holds at once, in its one stack
 _STACK_BYTES = 1 << 19
 
 
@@ -57,15 +57,6 @@ def _moduli(num_players: int, width: int) -> tuple[int, ...]:
             moduli.append(candidate)
             product *= candidate
     return tuple(moduli)
-
-
-def _fold(layers: np.ndarray, moduli: Sequence[int]) -> None:
-    """Map residues that a sum left in [0, 2p) back into [0, p), in place,
-    layer by layer.  Read as uint64, x - p wraps past 2^63 when x < p, so
-    the smaller of x and x - p is the residue (faster than ``%``)."""
-    for p, layer in zip(moduli, layers):  # moduli first: with none, zip never steps into the array
-        u = layer.view(np.uint64)
-        np.minimum(u, u - np.uint64(p), out=u)
 
 
 def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
@@ -106,7 +97,7 @@ def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
 def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
     """Add a player of weight w to the m + 2 live rows of a cumulative
     table in place, in O(m * width) per layer: C'[s][x] = C[s][x] +
-    C[s-1][x-w], each residue layer of ``moduli`` folded back into [0, p)
+    C[s-1][x-w], each residue layer of ``moduli`` reduced back into [0, p)
     (a table build passes none and reduces later).  A player of weight >=
     width is in no coalition counted and changes nothing, here and in
     ``_remove_player``."""
@@ -114,8 +105,10 @@ def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
     if w < width:
         # rows 1.. of ``padded`` are sizes 0..; numpy buffers the
         # overlapping operand, so this reads the old rows
+        # (a top-down row loop needs no buffer but builds tables about 3x slower)
         padded[:, 2:, w:] += padded[:, 1:-1, : width - w]
-        _fold(padded[1:, 2:, w:], moduli)
+        for p, layer in zip(moduli, padded[1:]):
+            layer %= p
 
 
 def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
@@ -301,13 +294,13 @@ def _moved_pivots(
     table of ``weights``, wide enough for the bar of the +1 games, is taken
     from ``_step_table`` and ``held`` (which carries it to the next step, so
     a later step must not resume this one) for the first batch that holds a
-    move.  In a batch, each moved weight u is removed once, from a copy of
-    it, in O(m * width) rather than O(m^2 * width) for a fresh table; the
-    u + 1 and u - 1 tables are copies of that one with u + delta added, all
-    on the m + 2 live rows only.  They fill, a chunk of u's at a time, a +1
-    and a -1 stack, zeroed once per call and together at most
-    ``_STACK_BYTES``; each stack (its games share the bar) is gathered once
-    by ``_gather``, and its numerators come from one ``_numerators`` call.
+    move.  Every move is scored by one recipe, on the m + 2 live rows only:
+    a copy of that table, u removed and u + delta added, in O(m * width)
+    rather than O(m^2 * width) for a fresh table.  A batch's moves of one
+    direction fill one stack, zeroed once per call and at most
+    ``_STACK_BYTES``, a chunk at a time; each chunk (its games share the
+    bar) is gathered once by ``_gather``, and its numerators come from one
+    ``_numerators`` call.
     """
     m, total = len(weights), sum(weights)
     deltas = [d for d in (1, -1) if any(move[0] == d for batch in batches for move in batch)]
@@ -316,43 +309,30 @@ def _moved_pivots(
     table = None
     scored: dict[tuple[int, int], dict[int, int]] = {}
     for batch in batches:
-        batch = [move for move in batch if move not in scored]
-        moved = list(dict.fromkeys(u for _, u in batch))
-        if not moved:
-            yield scored
-            continue
-        if table is None:
+        moves = [move for move in dict.fromkeys(batch) if move not in scored]
+        if moves and table is None:
             table = _step_table(held, weights, _bar(quota, total + 1) + 1)
             moduli = _moduli(m, table.shape[2])
             numerators = _numerators(m, moduli)
-            size = max(1, _STACK_BYTES // (2 * table.nbytes))  # tables a stack holds
-            stacks = {d: np.zeros((min(size, max(map(len, batches))), *table.shape), dtype=np.int64) for d in deltas}
-        for first in range(0, len(moved), size):
-            games: dict[int, list[tuple[int, set[int]]]] = {1: [], -1: []}  # (u, distinct weights) per edited table
-            for u in moved[first : first + size]:
-                edits = [(stacks[d][len(games[d]), :, -(m + 2) :], d) for d in deltas if (d, u) in batch]
-                removed = edits[0][0]
-                removed[...] = table[:, -(m + 2) :]
-                _remove_player(removed, u, moduli)
-                i = weights.index(u)
-                rest = {*weights[:i], *weights[i + 1 :]}
-                for edited, _ in edits[1:]:
-                    edited[...] = removed
-                for edited, d in edits:
+            size = min(max(1, _STACK_BYTES // table.nbytes), max(map(len, batches)))  # tables the stack holds
+            stack = np.zeros((size, *table.shape), dtype=np.int64)
+        for d in deltas:
+            moved = [u for delta, u in moves if delta == d]
+            while moved:
+                chunk, moved, present = moved[:size], moved[size:], []  # present: distinct weights per edited table
+                for edited, u in zip(stack[:, :, -(m + 2) :], chunk):
+                    edited[...] = table[:, -(m + 2) :]
+                    _remove_player(edited, u, moduli)
                     _add_player(edited, u + d, moduli)
-                    games[d].append((u, rest | {u + d}))
-            for d in deltas:
-                n = len(games[d])
-                if not n:
-                    continue
-                present = [ws for _, ws in games[d]]
-                order = list(set().union(*present))
-                counts = _gather(stacks[d][:n], _bar(quota, total + d), order)
+                    i = weights.index(u)
+                    present.append({*weights[:i], *weights[i + 1 :], u + d})
+                n, order = len(chunk), list(set().union(*present))
+                counts = _gather(stack[:n], _bar(quota, total + d), order)
                 # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
                 for g, ws in enumerate(present):
                     counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
                 values = numerators(counts)
-                for g, (u, ws) in enumerate(games[d]):
+                for g, (u, ws) in enumerate(zip(chunk, present)):
                     scored[d, u] = {w: v for w, v in zip(order, values[g::n]) if w in ws}
         yield scored
 

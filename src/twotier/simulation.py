@@ -318,27 +318,22 @@ def _sorted_order(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _pivot_counts(ideals: np.ndarray, game: WeightedVotingGame) -> np.ndarray:
     """How often each delegate is pivotal over the rows of ``ideals``
-    (replications x delegates).
+    (replications x delegates), a chunk of ``_block_ideals``.
 
     A row's pivot is the original index at the first spot, in ascending
     position order, where the cumulative weight exceeds ``game.bar``.
     Exact float ties (probability zero in the model) break toward the
-    lower index.  Rows are taken ``PIVOT_CHUNK`` at a time, and one buffer
-    takes a chunk's sorted positions and then its cumulative weights.
+    lower index.  One buffer takes the sorted positions and then the
+    cumulative weights.
     """
     weights = np.asarray(game.weights, dtype=np.int64)
-    counts = np.zeros(game.num_players, dtype=np.int64)
-    buffer = np.empty((min(PIVOT_CHUNK, len(ideals)), game.num_players), dtype=np.int64)
-    for start in range(0, len(ideals), PIVOT_CHUNK):
-        rows = ideals[start : start + PIVOT_CHUNK]
-        cumulative = buffer[: len(rows)]
-        order = _sorted_order(rows, cumulative.view(np.float64))
-        np.take(weights, order, out=cumulative, mode="clip")
-        np.cumsum(cumulative, axis=1, out=cumulative)
-        positions = np.argmax(cumulative > game.bar, axis=1)
-        pivots = np.take_along_axis(order, positions[:, None], axis=1)
-        counts += np.bincount(pivots[:, 0], minlength=game.num_players)
-    return counts
+    cumulative = np.empty(ideals.shape, dtype=np.int64)
+    order = _sorted_order(ideals, cumulative.view(np.float64))
+    np.take(weights, order, out=cumulative, mode="clip")
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    positions = np.argmax(cumulative > game.bar, axis=1)
+    pivots = np.take_along_axis(order, positions[:, None], axis=1)
+    return np.bincount(pivots[:, 0], minlength=game.num_players)
 
 
 def _block_pivot_counts(fed, game, model, seed, block_index, count) -> np.ndarray:

@@ -497,15 +497,15 @@ def gap_order(spec, vec):
 def check_neighbour_keys(spec, vec, tables=None, size=None):
     """Every incremental key equals the key of a fresh exact index, in gap
     order, ``size`` neighbours a batch (all of them at once for None), from
-    one table built for the step.  With ``tables``, each of a batch's +1 and
-    -1 stacks holds at most that many edited tables at a time."""
+    one table built for the step.  With ``tables``, the stack a batch's
+    moves of one direction fill holds at most that many edited tables."""
     expected = gap_order(spec, vec)
     keys = _NeighbourKeys(spec)
     numerators = keys.numerators(vec)
     size = size or len(expected)
     chunk_bytes = power._STACK_BYTES
     if tables is not None:
-        chunk_bytes = 2 * tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
+        chunk_bytes = tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
     build = mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table)
     with mock.patch.object(power, "_STACK_BYTES", chunk_bytes), mock.patch.object(inverse, "_BATCH", size), build as built:
         batches = list(keys.batches(vec, numerators))
@@ -631,11 +631,12 @@ class TestNeighbourKeys:
         assert set(keys.cache) == seen
         assert len(keyed) == len(seen)  # each vector keyed once
 
+    @pytest.mark.parametrize("tables", [1, 3])
     @pytest.mark.parametrize(
         "vec, quota",
         [((5, 3, 3, 2, 1, 0, 7, 7, 4), HALF), ((9, 8, 1, 1, 0, 12, 3, 6, 6, 2, 5), F(37, 50))],
     )
-    def test_one_removal_per_weight_and_gather_per_stack(self, vec, quota):
+    def test_one_removal_per_move_and_gather_per_stack(self, vec, quota, tables):
         spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
         width = games_module._bar(quota, sum(vec) + 1) + 1
         keys = _NeighbourKeys(spec)
@@ -652,20 +653,22 @@ class TestNeighbourKeys:
             assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
             return scored, remove.call_count, built.call_count, gather.call_count
 
-        # one table per stack: each direction's tables span several stacks
-        with mock.patch.object(power, "_STACK_BYTES", 2 * _cumulative_table(vec, width).nbytes):
+        def stacks(moves):  # stacks each direction's distinct moves fill, ``tables`` edited tables a stack
+            return sum(-(-sum(d == delta for d, _ in moves) // tables) for delta in (1, -1))
+
+        # each direction's tables span several stacks
+        with mock.patch.object(power, "_STACK_BYTES", tables * _cumulative_table(vec, width).nbytes):
             scored, removals, builds, gathers = step(vec, numerators)
-            moved = set(vec)  # every weight moves up; all but 0 also move down
-            # one gather per stack: u = 0 has no -1 table
-            assert (removals, builds, gathers) == (len(moved), 1, 2 * len(moved) - 1)
+            moves = {(d, u) for u in vec for d in (1, -1) if u + d >= 0}  # u = 0 has no -1 move
+            assert (removals, builds, gathers) == (len(moves), 1, stacks(moves))
             # one -1 move on, the held table is wide enough: it is edited by
             # one more removal, and no table is built
             after, _, carried = next(entry for entry in scored if sum(entry[0]) < sum(vec))
             neighbours = [(after[:i] + (after[i] + d,) + after[i + 1 :], (d, after[i])) for i in range(len(vec)) for d in (1, -1)]
             pending = {move for v, move in neighbours if min(v) >= 0 and v not in keys.cache}
             assert keys.held[0] == vec
-            _, removals, builds, _ = step(after, carried)
-        assert (removals, builds, keys.held[0]) == (1 + len({u for _, u in pending}), 0, after)
+            _, removals, builds, gathers = step(after, carried)
+        assert (removals, builds, gathers, keys.held[0]) == (1 + len(pending), 0, stacks(pending), after)
 
     def test_one_table_per_step_for_any_batches(self):
         # the first batch takes the table, for every batch; the later

@@ -204,6 +204,15 @@ def pivot(ideals, game):
     return int(index)
 
 
+def block_pivot_counts(rows, game, chunk):
+    """``_block_pivot_counts`` of one block whose positions are ``rows``
+    (its noise medians, at zero cohesion), taken ``chunk`` rows a chunk."""
+    columns = iter(np.array(rows, dtype=np.float64).T)
+    fed = FederationSpec.from_sizes((1,) * game.num_players)
+    with patch.object(simulation, "PIVOT_CHUNK", chunk), patch.object(simulation, "sample_median_shock", lambda *_: next(columns)):
+        return _block_pivot_counts(fed, game, PreferenceModel(), 0, 0, len(rows))
+
+
 def stable_order(row):
     return sorted(range(len(row)), key=lambda i: (row[i], i))
 
@@ -260,8 +269,7 @@ class TestPivotalIndex:
         game, rows = case
         expected = [fraction_pivot(row, game) for row in rows]
         assert [pivot(row, game) for row in rows] == expected
-        with patch.object(simulation, "PIVOT_CHUNK", chunk):
-            counts = _pivot_counts(np.array(rows), game)
+        counts = block_pivot_counts(rows, game, chunk)
         assert counts.tolist() == np.bincount(expected, minlength=game.num_players).tolist()
 
 
@@ -285,8 +293,7 @@ class TestSortedOrder:
         # each chunk holds untied, tied and infinite rows, and a chunk
         # boundary falls between rows of each kind
         expected = [fraction_pivot(row, self.GAME) for row in self.ROWS]
-        with patch.object(simulation, "PIVOT_CHUNK", chunk):
-            counts = _pivot_counts(np.array(self.ROWS), self.GAME)
+        counts = block_pivot_counts(self.ROWS, self.GAME, chunk)
         assert counts.tolist() == np.bincount(expected, minlength=5).tolist()
 
     @pytest.mark.parametrize("strided", [False, True])
