@@ -55,7 +55,7 @@ def load_federation(path) -> FederationSpec:
     """
     names: list[str] = []
     populations: list[int] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [cell.strip().lower() for cell in header] != ["name", "population"]:
@@ -156,6 +156,8 @@ class ExperimentConfig:
         for name in ("t_grid", "rules"):
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
+        if any(isinstance(t, (bool, np.bool_)) for t in self.t_grid):
+            raise ValueError(f"t_grid values must be numbers, not bools, got {self.t_grid}")
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ValueError("t_grid must be non-empty")
@@ -208,7 +210,7 @@ def parse_key_values(path, required: Sequence[str], optional: Sequence[str] = ()
     is passed through its function; one that fails to convert is an error
     naming the file, the line and the key."""
     values: dict[str, Any] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

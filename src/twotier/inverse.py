@@ -184,31 +184,29 @@ class InverseProblemSpec:
 class InverseSolution:
     """A game, its exact index, and the achieved distance to the target.
 
-    The distance is recomputed from (ssi, target) at construction; a
-    solution claiming certified optimality must come from exhaustive search.
-    ``evaluations`` counts the exact index evaluations the search made:
-    one per canonical class for exhaustive search, one per distinct weight
-    vector scored (starts included) for local search.
+    ``ssi``, ``distance`` and ``optimality_certified`` are computed at
+    construction from the game, the problem and the method: only
+    exhaustive search certifies optimality.  ``evaluations`` counts the
+    exact index evaluations the search made: one per canonical class for
+    exhaustive search, one per distinct weight vector scored (starts
+    included) for local search.
     """
 
     problem: InverseProblemSpec
     game: WeightedVotingGame
-    ssi: tuple[Fraction, ...]
-    distance: float
+    ssi: tuple[Fraction, ...] = field(init=False)
+    distance: float = field(init=False)
     method: str
     steps: int
     restarts_used: int
-    optimality_certified: bool
+    optimality_certified: bool = field(init=False)
     evaluations: int = 0
 
     def __post_init__(self) -> None:
-        recomputed = distance(self.ssi, self.problem.target, self.problem.norm)
-        if abs(recomputed - self.distance) > 1e-12:
-            raise ValueError(
-                f"reported distance {self.distance} disagrees with recomputed {recomputed}"
-            )
-        if self.optimality_certified and self.method != "exhaustive":
-            raise ValueError("only exhaustive search may certify optimality")
+        ssi = shapley_shubik(self.game)
+        object.__setattr__(self, "ssi", ssi)
+        object.__setattr__(self, "distance", distance(ssi, self.problem.target, self.problem.norm))
+        object.__setattr__(self, "optimality_certified", self.method == "exhaustive")
 
 
 def _target_order(target: Sequence[Fraction]) -> list[int]:
@@ -224,26 +222,6 @@ def _align_to_target(sorted_weights: Sequence[int], target: Sequence[Fraction]) 
     for rank, pos in enumerate(_target_order(target)):
         out[pos] = int(sorted_weights[rank])
     return tuple(out)
-
-
-def _solution(
-    spec: InverseProblemSpec, weights: tuple[int, ...], method: str, steps: int, restarts_used: int, evaluations: int
-) -> InverseSolution:
-    """The solution with ``weights``: its game, exact index and distance.
-    Only exhaustive search certifies optimality."""
-    game = WeightedVotingGame(weights, spec.quota_ratio)
-    ssi = shapley_shubik(game)
-    return InverseSolution(
-        problem=spec,
-        game=game,
-        ssi=ssi,
-        distance=distance(ssi, spec.target, spec.norm),
-        method=method,
-        steps=steps,
-        restarts_used=restarts_used,
-        optimality_certified=method == "exhaustive",
-        evaluations=evaluations,
-    )
 
 
 def solve_exhaustive(spec: InverseProblemSpec) -> InverseSolution:
@@ -265,7 +243,7 @@ def solve_exhaustive(spec: InverseProblemSpec) -> InverseSolution:
     keys = _NeighbourKeys(spec)
     aligned = (_align_to_target(vec, spec.target) for vec in classes.values())
     best_vec = min(aligned, key=keys.of)  # the first of equal keys
-    return _solution(spec, best_vec, "exhaustive", scanned, 0, len(classes))
+    return InverseSolution(spec, WeightedVotingGame(best_vec, spec.quota_ratio), "exhaustive", scanned, 0, len(classes))
 
 
 @lru_cache(maxsize=64)
@@ -390,7 +368,8 @@ def solve_local_search(spec: InverseProblemSpec) -> InverseSolution:
             best_key = current_key
             best_vec = current
 
-    return _solution(spec, best_vec, "local_search", total_steps, restarts_used, len(keys.cache))
+    game = WeightedVotingGame(best_vec, spec.quota_ratio)
+    return InverseSolution(spec, game, "local_search", total_steps, restarts_used, len(keys.cache))
 
 
 def solve(

@@ -167,13 +167,10 @@ def _gather(stack: np.ndarray, bar: int, order: Sequence[int]) -> np.ndarray:
 
 
 def _exact_counts(counts: np.ndarray, moduli: Sequence[int]) -> list[list[int]]:
-    """Gathered counts of shape (n, layers, m) as n lists of exact Python
-    ints.  One layer is read as int64 as it is; past it, layer 0 is read as
-    uint64 (mod 2^64), the others are reduced mod their ``moduli``, and
-    Garner's form of the Chinese remainder theorem rebuilds each count from
-    its residues."""
-    if not moduli:
-        return counts[:, 0].tolist()
+    """Gathered counts of shape (n, layers, m), none negative, as n lists of
+    exact Python ints.  Layer 0 is read as uint64 (mod 2^64), the others
+    are reduced mod their ``moduli``, and Garner's form of the Chinese
+    remainder theorem rebuilds each count from its residues."""
     n, _, m = counts.shape
     values = counts[:, 0].astype(np.uint64).ravel().tolist()
     modulus = 1 << 64

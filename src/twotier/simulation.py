@@ -160,16 +160,16 @@ class PreferenceModel:
     constituency: Distribution = field(default=Distribution.normal(0.0, 1e-4))
 
     def __post_init__(self) -> None:
-        if isinstance(self.cohesion, bool) or not (math.isfinite(self.cohesion) and self.cohesion >= 0):
+        if isinstance(self.cohesion, (bool, np.bool_)) or not (math.isfinite(self.cohesion) and self.cohesion >= 0):
             raise ValueError(f"cohesion must be finite and non-negative, got {self.cohesion!r}")
         for name in ("idiosyncratic", "constituency"):
             if not isinstance(getattr(self, name), Distribution):
                 raise TypeError(f"{name} must be a Distribution, got {getattr(self, name)!r}")
 
 
-def sample_median_shock(population: int, dist: Distribution, rng: np.random.Generator, size=None):
-    """Draw from the distribution of the sample median of ``population``
-    i.i.d. draws from ``dist`` via the order-statistic shortcut.
+def sample_median_shock(population: int, dist: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` samples from the distribution of the sample median of
+    ``population`` i.i.d. draws from ``dist`` via the order-statistic shortcut.
 
     Odd n = 2k+1: the median of n uniforms is Beta(k+1, k+1), so one Beta
     draw pushed through the inverse CDF suffices.  Even n = 2k: the upper
@@ -178,18 +178,15 @@ def sample_median_shock(population: int, dist: Distribution, rng: np.random.Gene
     midpoint of the two.  Cost is O(1) draws per sample regardless of n.
     """
     population = _integer_at_least("population", population, 1)
-    count = 1 if size is None else size
     if population % 2 == 1:
         half = (population - 1) // 2
-        med = dist.ppf(rng.beta(half + 1, half + 1, count))
-    else:
-        half = population // 2
-        upper = rng.beta(half + 1, half, count)
-        uniform = rng.random(count)
-        uniform[uniform == 0.0] = 1.0  # V on (0, 1]: V = 0 would give ppf(0) = -inf
-        lower = upper * uniform ** (1.0 / half)
-        med = 0.5 * (dist.ppf(lower) + dist.ppf(upper))
-    return float(med[0]) if size is None else med
+        return dist.ppf(rng.beta(half + 1, half + 1, size))
+    half = population // 2
+    upper = rng.beta(half + 1, half, size)
+    uniform = rng.random(size)
+    uniform[uniform == 0.0] = 1.0  # V on (0, 1]: V = 0 would give ppf(0) = -inf
+    lower = upper * uniform ** (1.0 / half)
+    return 0.5 * (dist.ppf(lower) + dist.ppf(upper))
 
 
 def sample_median_brute(population: int, dist: Distribution, rng: np.random.Generator, size: int):

@@ -5,6 +5,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twotier import (
@@ -70,6 +71,12 @@ class TestLoadFederation:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows([("name", "population"), *zip(fed.names, fed.populations)])
         assert load_federation(path) == fed
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start a UTF-8 CSV with a byte-order mark
+        path = tmp_path / "fed.csv"
+        path.write_text("name,population\nA,100\nB,300\n", encoding="utf-8-sig")
+        assert load_federation(path) == FederationSpec(("A", "B"), (100, 300))
 
     @pytest.mark.parametrize("names", [("A", "A"), ("A", ""), ("A", " B"), ("A\t", "B")])
     def test_spec_refuses_names_that_do_not_round_trip(self, names):
@@ -142,6 +149,12 @@ class TestExperimentConfig:
         assert config.rules == ("proportional", "shapley_inverse")
         assert config.solver.weight_sum_bound == 40
 
+    def test_from_file_byte_order_mark(self, tmp_path):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text("federation = f.csv\nquota = 1/2\nt_grid = 1\nreplications = 10\nseed = 9\n",
+                               encoding="utf-8-sig")
+        assert ExperimentConfig.from_file(config_path).federation_path == "f.csv"
+
     def test_solver_seed_defaults_to_seed(self, tmp_path):
         base = "federation = f.csv\nquota = 1/2\nt_grid = 1\nreplications = 10\nseed = 9\n"
         config_path = tmp_path / "exp.cfg"
@@ -200,6 +213,12 @@ class TestExperimentConfig:
     def test_grid_must_be_finite(self, grid):
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig("f.csv", HALF, grid, 10, 0)
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+    def test_grid_refuses_bools(self, flag):
+        # True would be read as t = 1.0, though a bool cohesion is refused
+        with pytest.raises(ValueError, match="not bools"):
+            ExperimentConfig("f.csv", HALF, (flag, 2.0), 10, 0)
 
     def test_grid_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -736,32 +736,17 @@ class TestSolve:
 
 
 class TestInverseSolution:
-    def test_distance_validated(self):
-        spec = InverseProblemSpec(target=(F(1, 2), F(1, 2)))
-        game = WeightedVotingGame((1, 1), HALF)
-        with pytest.raises(ValueError):
-            InverseSolution(
-                problem=spec,
-                game=game,
-                ssi=shapley_shubik(game),
-                distance=0.5,
-                method="local_search",
-                steps=0,
-                restarts_used=1,
-                optimality_certified=False,
-            )
-
-    def test_certification_requires_exhaustive(self):
-        spec = InverseProblemSpec(target=(F(1, 2), F(1, 2)))
-        game = WeightedVotingGame((1, 1), HALF)
-        with pytest.raises(ValueError):
-            InverseSolution(
-                problem=spec,
-                game=game,
-                ssi=shapley_shubik(game),
-                distance=0.0,
-                method="local_search",
-                steps=0,
-                restarts_used=1,
-                optimality_certified=True,
-            )
+    def test_index_distance_and_certification_are_derived(self):
+        spec = InverseProblemSpec(target=(F(1, 2), F(3, 10), F(1, 5)), norm="l2", weight_sum_bound=10, restarts=2)
+        solutions = [solve_exhaustive(spec), solve_local_search(spec)]
+        assert [solution.method for solution in solutions] == ["exhaustive", "local_search"]
+        for solution in solutions:
+            assert solution.ssi == shapley_shubik(solution.game)
+            assert solution.distance == distance(solution.ssi, spec.target, "l2")
+            assert solution.optimality_certified == (solution.method == "exhaustive")
+        fields = {"problem": spec, "game": WeightedVotingGame((1, 1, 1), HALF), "method": "exhaustive", "steps": 0,
+                 "restarts_used": 0}
+        assert InverseSolution(**fields).ssi == (F(1, 3),) * 3
+        for name, value in (("ssi", (F(1, 3),) * 3), ("distance", 0.0), ("optimality_certified", True)):
+            with pytest.raises(TypeError, match=name):
+                InverseSolution(**fields, **{name: value})

@@ -5,6 +5,9 @@ function, class or method exists only for the unit tests to call."""
 import ast
 from pathlib import Path
 
+import twotier
+from twotier import experiments, games, inverse, power, simulation
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "twotier").glob("*.py"))
 USERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
@@ -63,6 +66,15 @@ def _parse(paths):
 
 def test_every_public_name_is_used_outside_the_unit_tests():
     assert unreferenced(_parse(MODULES), _parse(USERS)) == []
+
+
+def test_package_exports_each_module_list_once():
+    modules = (games, power, inverse, simulation, experiments)  # in the package's import order
+    assert twotier.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(twotier.__all__)) == len(twotier.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(twotier, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_imports_and_all_lists_are_no_references():

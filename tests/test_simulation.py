@@ -92,7 +92,7 @@ class TestDistribution:
 class TestMedianShock:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
-            sample_median_shock(0, UNIFORM, np.random.default_rng(0))
+            sample_median_shock(0, UNIFORM, np.random.default_rng(0), 3)
 
     @pytest.mark.parametrize("population", [2.5, 3.0, True, "3"])
     def test_rejects_non_integer_population(self, population):
@@ -113,10 +113,6 @@ class TestMedianShock:
         assert draws.mean() == pytest.approx(0.0, abs=0.004)
         assert draws.var() == pytest.approx(1 / 20, rel=0.03)
 
-    def test_scalar_mode(self):
-        value = sample_median_shock(5, UNIFORM, np.random.default_rng(34))
-        assert isinstance(value, float) and -0.5 <= value <= 0.5
-
     @pytest.mark.parametrize("population", [2, 3, 10, 11])
     @pytest.mark.parametrize("dist", [UNIFORM, NORMAL], ids=["uniform", "normal"])
     def test_shortcut_matches_brute_force(self, population, dist):
@@ -136,7 +132,6 @@ class TestMedianShock:
                 return np.zeros(size)
 
         expected = NORMAL.ppf(np.array([0.7]))[0]
-        assert sample_median_shock(4, NORMAL, ZeroUniform()) == expected
         np.testing.assert_array_equal(sample_median_shock(10, NORMAL, ZeroUniform(), 3), np.full(3, expected))
 
     def test_variance_formula(self):
@@ -183,8 +178,9 @@ class TestFederationAndModel:
             PreferenceModel(cohesion=cohesion)
 
     def test_model_rejects_bool_cohesion(self):
-        with pytest.raises(ValueError, match="cohesion"):
-            PreferenceModel(cohesion=True)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="cohesion"):
+                PreferenceModel(cohesion=flag)
 
     @pytest.mark.parametrize("name", ["idiosyncratic", "constituency"])
     @pytest.mark.parametrize("bad", ["uniform", ("normal", (0.0, 1.0)), None])
