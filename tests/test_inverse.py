@@ -736,17 +736,26 @@ class TestSolve:
 
 
 class TestInverseSolution:
-    def test_index_distance_and_certification_are_derived(self):
-        spec = InverseProblemSpec(target=(F(1, 2), F(3, 10), F(1, 5)), norm="l2", weight_sum_bound=10, restarts=2)
-        solutions = [solve_exhaustive(spec), solve_local_search(spec)]
-        assert [solution.method for solution in solutions] == ["exhaustive", "local_search"]
-        for solution in solutions:
+    SPEC = InverseProblemSpec(target=(F(1, 2), F(3, 10), F(1, 5)), norm="l2", weight_sum_bound=10, restarts=2)
+    FIELDS = {"problem": SPEC, "game": WeightedVotingGame((1, 1, 1), HALF), "method": "local_search", "steps": 0,
+              "restarts_used": 1}
+
+    def test_distance_validated(self):
+        for solution in (solve_exhaustive(self.SPEC), solve_local_search(self.SPEC)):
             assert solution.ssi == shapley_shubik(solution.game)
-            assert solution.distance == distance(solution.ssi, spec.target, "l2")
-            assert solution.optimality_certified == (solution.method == "exhaustive")
-        fields = {"problem": spec, "game": WeightedVotingGame((1, 1, 1), HALF), "method": "exhaustive", "steps": 0,
-                 "restarts_used": 0}
-        assert InverseSolution(**fields).ssi == (F(1, 3),) * 3
-        for name, value in (("ssi", (F(1, 3),) * 3), ("distance", 0.0), ("optimality_certified", True)):
+            assert solution.distance == distance(solution.ssi, self.SPEC.target, "l2")
+        built = InverseSolution(**self.FIELDS)
+        assert built.ssi == (F(1, 3),) * 3
+        assert built.distance == distance((F(1, 3),) * 3, self.SPEC.target, "l2")
+        for name, value in (("ssi", (F(1, 3),) * 3), ("distance", 0.0)):
             with pytest.raises(TypeError, match=name):
-                InverseSolution(**fields, **{name: value})
+                InverseSolution(**self.FIELDS, **{name: value})
+
+    def test_certification_requires_exhaustive(self):
+        solutions = [solve_exhaustive(self.SPEC), solve_local_search(self.SPEC)]
+        assert [solution.method for solution in solutions] == ["exhaustive", "local_search"]
+        assert [solution.optimality_certified for solution in solutions] == [True, False]
+        assert not InverseSolution(**self.FIELDS).optimality_certified
+        assert InverseSolution(**{**self.FIELDS, "method": "exhaustive"}).optimality_certified
+        with pytest.raises(TypeError, match="optimality_certified"):
+            InverseSolution(**self.FIELDS, optimality_certified=True)
