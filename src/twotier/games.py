@@ -35,7 +35,7 @@ __all__ = [
 _CANONICAL_MAX_PLAYERS = 20
 # scanned vectors times their 2^m coalitions above which a class scan is refused
 _SCAN_CELL_LIMIT = 10**7 << 6
-# bytes of coalition weights one chunk of ``_minimal_winning_rows`` holds
+# bytes of coalition weights one chunk of ``_minimal_winning_rows`` or of a class scan holds
 _CANONICAL_CHUNK_BYTES = 1 << 19
 
 
@@ -162,38 +162,36 @@ class CanonicalGameSignature:
     minimal_winning: tuple[int, ...]
 
 
-def _minimal_winning_rows(weights: np.ndarray, bar: int) -> np.ndarray:
+def _minimal_winning_rows(weights: np.ndarray, bars: np.ndarray) -> np.ndarray:
     """Minimal-winning coalitions of a batch of games, one bool row of 2^m
-    bitmasks per game: ``weights`` is (n, m), every row non-increasing, and
-    every game's largest losing weight is ``bar`` (games of one weight sum
-    and quota share it).  ``bar`` stays a Python int and coalition weights
-    take the dtype of ``weights``, int64 or, past its range, Python ints, so
-    each win/lose test is exact.
+    bitmasks per game: ``weights`` is (n, m), rows non-increasing, ``bars``
+    the games' largest losing weights (``_bar``), both int64 or, past its
+    range, Python ints, so each win/lose test is exact.
 
-    Two passes per row, as for one game: coalition weights by bitmask, then
-    minimality.  With the weights sorted, a coalition's lightest member is
-    its highest set bit i, so mask ``2^i + j`` without it is mask ``j``.  A
-    winning coalition is minimal iff that one loses: removing the lightest
-    member leaves the most weight of any single removal.  Rows go
-    ``_CANONICAL_CHUNK_BYTES`` of coalition weights at a time.
+    Two passes: coalition weights by bitmask, then minimality.  With the
+    weights sorted, a coalition's lightest member is its highest set bit i,
+    so mask ``2^i + j`` without it is mask ``j``.  A winning coalition is
+    minimal iff that one loses: removing the lightest member leaves the most
+    weight of any single removal.  Arrays are coalition-major, (2^m, n), so
+    each op runs along a whole row of games, ``_CANONICAL_CHUNK_BYTES`` of
+    coalition weights at a time.
     """
     n, m = weights.shape
     if m > _CANONICAL_MAX_PLAYERS:
         raise ResourceLimitError(
             f"canonical form enumerates 2^{m} coalitions, above the {_CANONICAL_MAX_PLAYERS}-player cap"
         )
-    minimal = np.zeros((n, 1 << m), dtype=bool)
+    minimal = np.empty((n, 1 << m), dtype=bool)
     rows = max(1, _CANONICAL_CHUNK_BYTES // (weights.itemsize << m))
-    subset = np.zeros((min(n, rows), 1 << m), dtype=weights.dtype)  # column 0, the empty coalition, stays 0
     for first in range(0, n, rows):
         chunk = weights[first : first + rows]
-        sums = subset[: len(chunk)]
+        sums = np.zeros((1 << m, len(chunk)), dtype=weights.dtype)  # row 0, the empty coalition, stays 0
         for i in range(m):
-            np.add(sums[:, : 1 << i], chunk[:, i : i + 1], out=sums[:, 1 << i : 2 << i])
-        winning = sums > bar
-        out = minimal[first : first + rows]
-        for i in range(m):
-            np.greater(winning[:, 1 << i : 2 << i], winning[:, : 1 << i], out=out[:, 1 << i : 2 << i])
+            np.add(sums[: 1 << i], chunk[:, i], out=sums[1 << i : 2 << i])
+        winning = sums > bars[first : first + rows]
+        for i in reversed(range(m)):  # in place: each block reads the blocks below it before they change
+            np.greater(winning[1 << i : 2 << i], winning[: 1 << i], out=winning[1 << i : 2 << i])
+        minimal[first : first + rows] = winning.T
     return minimal
 
 
@@ -203,7 +201,7 @@ def canonicalize(game: WeightedVotingGame) -> CanonicalGameSignature:
     ``_minimal_winning_rows`` with its weights sorted non-increasing."""
     dtype = np.int64 if game.total_weight < 1 << 63 else object
     weights = np.array([sorted(game.weights, reverse=True)], dtype=dtype)
-    minimal = _minimal_winning_rows(weights, game.bar)[0]
+    minimal = _minimal_winning_rows(weights, np.array([game.bar], dtype=dtype))[0]
     return CanonicalGameSignature(game.num_players, tuple(minimal.nonzero()[0].tolist()))
 
 
@@ -230,14 +228,14 @@ class GameClassEnumeration:
         return tuple(cls.representative for cls in self.classes)
 
 
-def _descending_partitions(total: int, parts: int, cap: int) -> np.ndarray:
-    """Non-increasing rows of ``parts`` non-negative ints summing to
-    ``total``, each at most ``cap``, in lexicographically ascending order,
-    as an int64 array; built one part at a time, each prefix extended by
-    every value its next part may take."""
-    vecs = np.zeros((1, 0), dtype=np.int64)
-    rest = np.array([total])  # weight left for the remaining parts of each prefix
-    last = np.array([cap])  # the bound on the next part: the prefix's last part
+def _descending_partitions(totals: range, parts: int, cap: int) -> np.ndarray:
+    """Non-increasing rows of ``parts`` non-negative ints up to ``cap``
+    summing to each of ``totals``, in (sum, lexicographic) order, as an
+    int64 array; built one part at a time from one empty prefix per sum,
+    each prefix extended by every value its next part may take."""
+    vecs = np.zeros((len(totals), 0), dtype=np.int64)
+    rest = np.array(totals)  # weight left for the remaining parts of each prefix
+    last = np.full(len(totals), cap)  # the bound on the next part: the prefix's last part
     for left in range(parts, 0, -1):
         low = -(-rest // left)  # the next part is at least its share of the rest
         counts = np.maximum(np.minimum(rest, last) - low + 1, 0)
@@ -252,9 +250,10 @@ def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tupl
     """The first vector of each game class among the non-increasing vectors
     of ``parts`` entries up to ``cap`` with weight sum 1..``max_total``,
     scanned in (weight sum, lexicographic) order, and the number of vectors
-    scanned.  The vectors of one weight sum share a bar and go to
-    ``_minimal_winning_rows`` as one batch; a class is new when its packed
-    row was not seen earlier in the scan.
+    scanned.  Counted per weight sum first, as the Gaussian binomial
+    [cap + parts, parts]_q, the vectors go to ``_minimal_winning_rows`` in
+    chunks of consecutive sums of about ``_CANONICAL_CHUNK_BYTES`` of
+    coalition weights; a class is new unless its packed row came earlier.
 
     Refused, before the scan, when its vectors times their 2^``parts``
     coalitions pass ``_SCAN_CELL_LIMIT``.  The callers scan every vector up
@@ -284,14 +283,23 @@ def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tupl
     firsts: list[tuple[int, ...]] = []
     seen: set[bytes] = set()
     scanned = 0
-    for total in range(1, max_total + 1):
-        vecs = _descending_partitions(total, parts, cap)
+    counts = np.eye(1, min(max_total, parts * cap) + 1, dtype=np.int64)[0]  # vectors by weight sum, as
+    for i in range(1, parts + 1):  # the coefficients of the product of (1 - q^(cap + i)) / (1 - q^i)
+        counts[cap + i :] -= counts[: max(len(counts) - cap - i, 0)]
+        for r in range(i):  # dividing by 1 - q^i sums every i-th coefficient
+            np.cumsum(counts[r::i], out=counts[r::i])
+    chunk = counts.cumsum()[:-1] // max(1, _CANONICAL_CHUNK_BYTES >> (parts + 3))  # rows before each sum // chunk rows
+    bounds = [*(np.flatnonzero(np.diff(chunk, prepend=-1)) + 1).tolist(), len(counts)]
+    for low, high in zip(bounds, bounds[1:]):  # one chunk: weight sums low..high - 1
+        vecs = _descending_partitions(range(low, high), parts, cap)
         scanned += len(vecs)
-        packed = np.packbits(_minimal_winning_rows(vecs, _bar(quota, total)), axis=1)
-        data, width = packed.tobytes(), packed.shape[1]
-        for row in range(len(vecs)):
-            key = data[row * width : (row + 1) * width]
-            if key not in seen:
+        bars = np.repeat([_bar(quota, total) for total in range(low, high)], counts[low:high])
+        packed = np.packbits(_minimal_winning_rows(vecs, bars), axis=1)
+        words = packed.view(f"u{min(packed.shape[1], 8)}")  # each packed row as one or more words
+        order = np.lexsort(words.T)  # stable, so equal rows keep scan order
+        new = np.append(True, (words[order][1:] != words[order][:-1]).any(axis=1))  # the first of equal rows
+        for row in sorted(order[new].tolist()):
+            if (key := packed[row].tobytes()) not in seen:
                 seen.add(key)
                 firsts.append(tuple(vecs[row].tolist()))
     return firsts, scanned

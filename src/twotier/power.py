@@ -354,6 +354,15 @@ def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     return tuple(values[w] for w in game.weights)
 
 
+@lru_cache(maxsize=None)
+def _block_seats(m: int) -> np.ndarray:
+    """A block of orderings, one int8 column of seats each: seats 0..k-1 in
+    place, k = max(m - 8, 0), then every order of the others (at most 8!)."""
+    k = max(m - 8, 0)
+    tail = np.array(list(itertools.permutations(range(k, m))), dtype=np.int8)
+    return np.vstack([np.broadcast_to(np.arange(k, dtype=np.int8)[:, None], (k, len(tail))), tail.T])
+
+
 def shapley_permutation_oracle(game: WeightedVotingGame) -> tuple[Fraction, ...]:
     """Shapley-Shubik index by brute force over all m! player orderings.
 
@@ -363,19 +372,13 @@ def shapley_permutation_oracle(game: WeightedVotingGame) -> tuple[Fraction, ...]
     m = game.num_players
     if m > 10:
         raise ValueError(f"permutation oracle enumerates m! orderings; {m} > 10 players refused")
-    weights = game.weights
-    threshold = game.quota_ratio.numerator * game.total_weight
-    q_den = game.quota_ratio.denominator
-    counts = [0] * m
-    for perm in itertools.permutations(range(m)):
-        running = 0
-        for idx in perm:
-            running += weights[idx]
-            if running * q_den > threshold:
-                counts[idx] += 1
-                break
-    m_fact = math.factorial(m)
-    return tuple(Fraction(c, m_fact) for c in counts)
+    weights = np.array(game.weights, dtype=np.int64 if game.total_weight < 1 << 63 else object)
+    counts = np.zeros(m, dtype=np.int64)
+    for head in itertools.permutations(range(m), max(m - 8, 0)):  # one block of orderings per head
+        players, seats = [*head, *(p for p in range(m) if p not in head)], _block_seats(m)
+        pivot = (weights[players][seats].cumsum(axis=0) <= game.bar).sum(axis=0)  # seat index past the bar
+        counts[players] += np.bincount(seats[pivot, np.arange(seats.shape[1])], minlength=m)
+    return tuple(Fraction(c, math.factorial(m)) for c in counts.tolist())
 
 
 def banzhaf(game: WeightedVotingGame) -> tuple[Fraction, ...]:

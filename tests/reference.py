@@ -1,11 +1,17 @@
 """Slow, independent oracles for pivot counts and Shapley-Shubik numerators,
 in plain Python ints: no tables, residues, deconvolution or limbs, so the
 fast paths of ``twotier.power`` are checked against code they do not share;
-the win/lose decision by the quota's definition, with no ``bar``; and the
-closed-form spreads of a distribution and of a sample median, against which
-the draws of ``twotier.simulation`` are checked."""
+the win/lose decision by the quota's definition, with no ``bar``; the
+Shapley-Shubik index one ordering and one player at a time; a class scan
+one weight sum and one canonical form at a time; and the closed-form
+spreads of a distribution and of a sample median, against which the draws
+of ``twotier.simulation`` are checked."""
 
+import itertools
 import math
+from fractions import Fraction
+
+from twotier import WeightedVotingGame, canonicalize
 
 
 def wins(game, members):
@@ -53,6 +59,51 @@ def reference_numerators(game):
     its ``reference_pivots`` dotted with ``orderings``."""
     weights = orderings(game.num_players)
     return {w: sum(c * o for c, o in zip(pivots, weights)) for w, pivots in reference_pivots(game).items()}
+
+
+def reference_permutation_oracle(game):
+    """Shapley-Shubik index by its definition: over every ordering of the
+    players, the first one whose arrival takes the running weight w past the
+    quota (w * q.denominator > q.numerator * total) is pivotal."""
+    m = game.num_players
+    threshold = game.quota_ratio.numerator * game.total_weight
+    counts = [0] * m
+    for perm in itertools.permutations(range(m)):
+        running = 0
+        for idx in perm:
+            running += game.weights[idx]
+            if running * game.quota_ratio.denominator > threshold:
+                counts[idx] += 1
+                break
+    return tuple(Fraction(c, math.factorial(m)) for c in counts)
+
+
+def descending_vectors(total, parts, cap):
+    """Non-increasing tuples of ``parts`` ints in 0..cap summing to
+    ``total``, in lexicographically ascending order, by recursion."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(-(-total // parts), min(total, cap) + 1):
+        for rest in descending_vectors(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def reference_class_firsts(parts, quota, max_total, cap):
+    """The first vector of each game class, and the number of vectors
+    scanned, scanning the non-increasing vectors of ``parts`` entries up to
+    ``cap`` one weight sum 1..max_total at a time, in (sum, lexicographic)
+    order, with one ``canonicalize`` per vector."""
+    firsts, seen, scanned = [], set(), 0
+    for total in range(1, max_total + 1):
+        for vec in descending_vectors(total, parts, cap):
+            scanned += 1
+            signature = canonicalize(WeightedVotingGame(vec, quota))
+            if signature not in seen:
+                seen.add(signature)
+                firsts.append(vec)
+    return firsts, scanned
 
 
 def variance(dist):

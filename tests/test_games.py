@@ -21,7 +21,7 @@ from twotier import (
 )
 from twotier import games as games_module
 from twotier.games import _minimal_winning_rows
-from tests.reference import wins
+from tests.reference import descending_vectors, reference_class_firsts, wins
 
 HALF = Fraction(1, 2)
 
@@ -244,10 +244,10 @@ class TestCanonicalize:
     )  # weight × 2e13 > int64
     def test_batch_rows_equal_definition_property(self, batch, chunk_rows):
         vecs, quota = batch
-        bar = quota.numerator * sum(vecs[0]) // quota.denominator
+        bars = np.array([quota.numerator * sum(vec) // quota.denominator for vec in vecs])  # one bar per row
         m = len(vecs[0])
         with mock.patch.object(games_module, "_CANONICAL_CHUNK_BYTES", chunk_rows * (8 << m)):
-            rows = _minimal_winning_rows(np.array(vecs, dtype=np.int64), bar)
+            rows = _minimal_winning_rows(np.array(vecs, dtype=np.int64), bars)
         assert rows.shape == (len(vecs), 1 << m)
         for vec, row in zip(vecs, rows):
             expected = minimal_winning_oracle(WeightedVotingGame(vec, quota))
@@ -337,10 +337,51 @@ class TestEnumeration:
     @pytest.mark.parametrize("players, bound", [(4, 8), (5, 8), (6, 6)])
     def test_same_classes_across_chunks(self, players, bound, monkeypatch):
         expected = enumerate_game_classes(players, HALF, bound)
-        # three rows a chunk: the largest weight-sum batches hold more
-        assert len(games_module._descending_partitions(players * bound // 2, players, bound)) > 3
+        # three rows a chunk: the largest weight sums hold more
+        total = players * bound // 2
+        assert len(games_module._descending_partitions(range(total, total + 1), players, bound)) > 3
         monkeypatch.setattr(games_module, "_CANONICAL_CHUNK_BYTES", 3 * (8 << players))
         assert enumerate_game_classes(players, HALF, bound) == expected
+
+    @PROPERTY
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([HALF, Fraction(2, 3), Fraction(37, 50), Fraction(2**62 + 1, 2**63)]),
+        st.integers(1, 5) | st.just(256),
+    )
+    @example(4, 4, False, HALF, 1)  # classes found in early chunks recur in later ones
+    @example(4, 4, True, HALF, 256)  # a chunk holds many rows of one class
+    @example(3, 4, True, Fraction(2**62 + 1, 2**63), 2)  # numerator x weight sum > int64
+    def test_class_firsts_equal_reference_property(self, parts, size, exhaustive, quota, chunk_rows):
+        # the exhaustive search's shape (cap = max_total) or the enumeration's
+        # (max_total = parts * cap), a few rows a chunk, so scans span chunks,
+        # or many, so equal rows meet within one
+        max_total, cap = (3 * size, 3 * size) if exhaustive else (parts * size, size)
+        with mock.patch.object(games_module, "_CANONICAL_CHUNK_BYTES", chunk_rows * (8 << parts)):
+            scan = games_module._class_firsts(parts, quota, max_total, cap)
+        assert scan == reference_class_firsts(parts, quota, max_total, cap)
+
+    def test_partitions_equal_reference(self):
+        # rows of a range of weight sums, in (sum, lexicographic) order
+        for parts, cap, totals in [(1, 5, range(1, 8)), (4, 3, range(0, 14)), (6, 6, range(10, 13))]:
+            expected = [vec for total in totals for vec in descending_vectors(total, parts, cap)]
+            assert games_module._descending_partitions(totals, parts, cap).tolist() == [list(v) for v in expected]
+
+    def test_scan_memory_bounded(self):
+        # bounded chunks keep the peak near that of the largest weight sum's
+        # rows (13,561 at sum 120), not of the whole scan's 430,255 vectors;
+        # a scan one weight sum at a time peaks at about 2.1 MiB here
+        games_module._class_firsts(4, HALF, 20, 20)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            firsts, scanned = games_module._class_firsts(4, HALF, 120, 120)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(firsts), scanned) == (9, 430_255)
+        assert peak < 3 << 20
 
     def test_representative_is_minimal(self):
         enum = enumerate_game_classes(3, HALF, 6)

@@ -1,13 +1,14 @@
 """Exact power index computations against fixtures and the permutation oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twotier import (
@@ -21,7 +22,7 @@ from twotier import (
 )
 from twotier import power
 from twotier.power import _moduli, _pivot_counts_by_size
-from tests.reference import orderings, reference_numerators, reference_pivots, wins
+from tests.reference import orderings, reference_numerators, reference_permutation_oracle, reference_pivots, wins
 from tests.test_games import PROPERTY, games, random_game
 
 HALF = Fraction(1, 2)
@@ -178,6 +179,27 @@ class TestPermutationOracle:
     @given(games())
     def test_equals_dp_property(self, game):
         assert shapley_shubik(game) == shapley_permutation_oracle(game)
+
+    @PROPERTY
+    @given(games(max_players=7))
+    @example(WeightedVotingGame((40, 25, 25, 10), HALF))  # {40, 10} sits exactly at the quota
+    @example(WeightedVotingGame((3, 0, 2, 0, 0, 1), F(2, 3)))  # zero weights; {3, 1} sits at the quota
+    @example(WeightedVotingGame((2**62, 2**62 - 1, 1), HALF))  # total 2^63: past int64
+    @example(WeightedVotingGame((2**70, 2**69, 0, 2**69), HALF))  # total past int64; {2^70} sits at the quota
+    def test_equals_scalar_reference_property(self, game):
+        assert shapley_permutation_oracle(game) == reference_permutation_oracle(game)
+
+    def test_ten_players_bounded_memory(self):
+        # 10! = 3,628,800 orderings, 40,320 at a time
+        game = WeightedVotingGame((9, 7, 6, 5, 5, 3, 2, 2, 1, 0), F(2, 3))
+        tracemalloc.start()
+        try:
+            values = shapley_permutation_oracle(game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == shapley_shubik(game)
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("m", [60, 62, 64, 66, 68, 70])
     @pytest.mark.parametrize("quota", [HALF, F(2, 3), F(99, 100)])
