@@ -316,15 +316,16 @@ class _NeighbourKeys:
         Each comes with its key and its game's numerators per weight, or
         None where the step scored no move to its weights."""
         gaps = [g - numerators[w] * self.unit for g, w in zip(self.goal, current)]
-        moves = sorted(itertools.product(range(len(current)), (1, -1)), key=lambda m: (-gaps[m[0]] * m[1], m[0], -m[1]))
-        steps = []
-        for i, delta in moves:
-            neighbour = current[:i] + (current[i] + delta,) + current[i + 1 :]
-            if neighbour[i] >= 0 and any(neighbour):
-                steps.append((neighbour, (delta, current[i])))
-        chunks = [steps[at : at + _BATCH] for at in range(0, len(steps), _BATCH)]
-        pending = [[move for v, move in chunk if v not in self.cache] for chunk in chunks]
-        for chunk, scored in zip(chunks, _moved_pivots(current, self.quota, pending, self.held)):
+        total = sum(current)
+        moves = [(i, d) for i, d in itertools.product(range(len(current)), (1, -1)) if current[i] + d >= 0 and total + d > 0]
+        moves.sort(key=lambda m: (-gaps[m[0]] * m[1], m[0], -m[1]))
+        chunks = (  # built only for the batches the step reaches
+            [(current[:i] + (current[i] + d,) + current[i + 1 :], (d, current[i])) for i, d in moves[at : at + _BATCH]]
+            for at in range(0, len(moves), _BATCH)
+        )
+        chunks, reached = itertools.tee(chunks)
+        pending = ([move for v, move in chunk if v not in self.cache] for chunk in reached)
+        for chunk, scored in zip(chunks, _moved_pivots(current, self.quota, pending, self.held, _BATCH)):
             for neighbour, move in chunk:  # one weight multiset per move: the same numerators per weight
                 if neighbour not in self.cache:
                     self.cache[neighbour] = self.numerator_key([scored[move][w] for w in neighbour])

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,11 +59,21 @@ def _moduli(num_players: int, width: int) -> tuple[int, ...]:
     return tuple(moduli)
 
 
+def _dual_bar(quota: Fraction, total: int) -> int:
+    """Largest losing weight of the dual game (a coalition wins iff the
+    others lose), total - 1 - ``games._bar``.  A player's pivots of size s
+    in a game are its pivots of size m-1-s in the dual, so both have the
+    same index and swing counts (Dubey & Shapley, Math. Oper. Res. 1979).
+    For q >= 1/2 it is never above the bar, so every table reaches it
+    instead: 130 columns rather than 371 for eu28 at total 500, q = 37/50."""
+    return total - 1 - _bar(quota, total)
+
+
 def _cumulative_table(weights: Sequence[int], width: int) -> np.ndarray:
     """Cumulative counts C[s][x] of coalitions of size s and weight <= x
-    for x < width, below m zero rows (the first of them size -1), held as
-    int64 residue layers: an array of shape (layers, 2m + 1, width) whose
-    last m + 2 rows are live.  ``_gather`` reads the zero rows as C[s-k]
+    for x < width (callers reach the dual bar, ``_dual_bar``), below m zero
+    rows (the first of them size -1), held as int64 residue layers: an
+    array of shape (layers, 2m + 1, width) whose last m + 2 rows are live.  ``_gather`` reads the zero rows as C[s-k]
     for every k > s; only the allocation writes them.
 
     The table is the table of no players, whose one empty coalition makes
@@ -113,15 +123,21 @@ def _add_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
 
 def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
     """Remove a player of weight w from the live rows of a table in place, in
-    O(m * width) per layer: the recurrence of ``_add_player`` solved row by
-    row, all layers at once, for the table without it,
-    C'[s][x] = C[s][x] - C'[s-1][x-w].  A residue row s stays within s + 1
-    moduli of 0, inside int64 by the bound of ``_moduli``, so each residue
-    layer is reduced once, at the end."""
-    width = padded.shape[2]
+    O(m * width) per layer: the recurrence of ``_add_player`` solved, all
+    layers at once, for the table without it, C'[s][x] = C[s][x] -
+    C'[s-1][x-w], by rows (m calls) or, where fewer calls at about 3 row
+    calls each, by column blocks of width w, each reading the finished
+    block before it; both give the same bits.  A residue row s stays within
+    s + 1 moduli of 0, inside int64 by the bound of ``_moduli``, so each
+    residue layer is reduced once, at the end."""
+    rows, width = padded.shape[1:]
     if w < width:
-        for s in range(2, padded.shape[1]):  # sizes 1..m
-            padded[:, s, w:] -= padded[:, s - 1, : width - w]
+        if w and 3 * (-(-width // w) - 1) < rows - 2:
+            for x in range(w, width, w):  # sizes 1..m of block x, less sizes 0..m-1 of block x - w
+                padded[:, 2:, x : x + w] -= padded[:, 1:-1, x - w : min(x, width - w)]
+        else:
+            for s in range(2, rows):  # sizes 1..m
+                padded[:, s, w:] -= padded[:, s - 1, : width - w]
         for p, layer in zip(moduli, padded[1:]):
             layer %= p
 
@@ -129,13 +145,15 @@ def _remove_player(padded: np.ndarray, w: int, moduli: Sequence[int]) -> None:
 def _gather(stack: np.ndarray, bar: int, order: Sequence[int]) -> np.ndarray:
     """Pivots by size of each weight of ``order`` in a stack of n
     cumulative tables of the same shape, (n, layers, 2m + 1, width), whose
-    games have the same largest losing weight ``bar`` (``games._bar``):
-    counts of shape (len(order) * n, layers, m) whose row j * n + g holds,
-    by |S|, the coalitions S without one player of weight order[j] in game
-    g that the player turns winning; zeros for weight 0.  The row of a
-    game with no player of that weight is meaningless.  Each count is exact
-    mod 2^64 on layer 0, where int64 sums wrap, and within m + 2 moduli of
-    0 on a residue layer (see ``_moduli``).  The tables must reach the bar.
+    games have the same largest losing weight ``bar``: counts of shape
+    (len(order) * n, layers, m) whose row j * n + g holds, by |S|, the
+    coalitions S without one player of weight order[j] in game g that the
+    player turns winning (callers pass the dual games' bar, ``_dual_bar``,
+    so a count of size s is a pivot count of size m-1-s of the game);
+    zeros for weight 0.  The row of a game with no player of that weight is
+    meaningless.  Each count is exact mod 2^64 on layer 0, where int64 sums
+    wrap, and within m + 2 moduli of 0 on a residue layer (see
+    ``_moduli``).  The tables must reach the bar.
 
     Removing a player of weight w obeys the knapsack recurrence, so the
     cumulative counts without it are Cw[s][x] = sum_k (-1)^k C[s-k][x-k*w]
@@ -185,17 +203,18 @@ def _exact_counts(counts: np.ndarray, moduli: Sequence[int]) -> list[list[int]]:
 def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[tuple[int, ...], int]]:
     """For each distinct weight of the game, its pivots by coalition size
     and its Shapley-Shubik numerator (``_numerators``), from a table that
-    reaches exactly the largest losing weight, refused past the DP budget:
-    a stack of one table through the gather and numerators of a step.
-    Every index reads them once per game, through
-    ``WeightedVotingGame._pivots``."""
-    m, width = game.num_players, game.bar + 1
+    reaches exactly the dual bar (``_dual_bar``), refused past the DP
+    budget: a stack of one table through the gather and numerators of a
+    step.  The dual's pivots are mirrored back (s <-> m-1-s); the
+    numerators need no mirror, as s! * (m-1-s)! is symmetric.  Every index
+    reads them once per game, through ``WeightedVotingGame._pivots``."""
+    m, bar = game.num_players, _dual_bar(game.quota_ratio, game.total_weight)
     _check_budget(m, game.total_weight)
     order = list(dict.fromkeys(game.weights))
-    counts = _gather(_cumulative_table(game.weights, width)[None], game.bar, order)
-    moduli = _moduli(m, width)
+    counts = _gather(_cumulative_table(game.weights, bar + 1)[None], bar, order)
+    moduli = _moduli(m, bar + 1)
     pivots = _exact_counts(counts, moduli)
-    return {w: (tuple(c), v) for w, c, v in zip(order, pivots, _numerators(m, moduli)(counts, pivots))}
+    return {w: (tuple(c[::-1]), v) for w, c, v in zip(order, pivots, _numerators(m, moduli)(counts, pivots))}
 
 
 def _limb_bits(num_players: int) -> int:
@@ -258,62 +277,65 @@ def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[..., list
     return join
 
 
-def _step_table(held: list, weights: tuple[int, ...], width: int) -> np.ndarray:
-    """The cumulative table of ``weights`` for a step that reads ``width``
-    columns.  ``held`` is [vector, table], the last step's: if ``weights``
-    is one +-1 move from that vector and the table is at least ``width``
-    wide, the table is edited in place, by one removal and one add with the
-    moduli of its own width; else a new one is built ``width`` wide.
-    ``held`` then holds ``weights`` and it."""
+def _step_table(held: list, weights: tuple[int, ...], quota: Fraction) -> np.ndarray:
+    """The cumulative table of ``weights`` for a step, which reads up to the
+    dual bar of its +1 games (``_dual_bar``).  ``held`` is [vector, table],
+    the last step's: if ``weights`` is one +-1 move from that vector and the
+    table reaches that bar, the table is edited in place, by one removal
+    and one add with the moduli of its own width; else a new one is built
+    for that bar m weight units ahead, or the total ahead if that is less:
+    a rising descent rebuilds it about once per m steps, and it is never
+    wider than total + 1, within the DP budget of the +1 games.  ``held``
+    then holds ``weights`` and it."""
+    m, total = len(weights), sum(weights)
     vector, table = held
     moved = [(v, w) for v, w in zip(vector, weights) if v != w]
-    if len(moved) == 1 and abs(moved[0][0] - moved[0][1]) == 1 and table.shape[2] >= width:
-        live, moduli = table[:, -(len(weights) + 2) :], _moduli(len(weights), table.shape[2])
+    if len(moved) == 1 and abs(moved[0][0] - moved[0][1]) == 1 and table.shape[2] > _dual_bar(quota, total + 1):
+        live, moduli = table[:, -(m + 2) :], _moduli(m, table.shape[2])
         _remove_player(live, moved[0][0], moduli)
         _add_player(live, moved[0][1], moduli)
     else:
-        table = _cumulative_table(weights, width)
+        table = _cumulative_table(weights, _dual_bar(quota, total + 1 + min(m, total)) + 1)
     held[:] = weights, table
     return table
 
 
 def _moved_pivots(
-    weights: tuple[int, ...], quota: Fraction, batches: Sequence[Collection[tuple[int, int]]], held: list
+    weights: tuple[int, ...], quota: Fraction, batches: Iterable[Collection[tuple[int, int]]], held: list, most: int
 ) -> Iterator[dict[tuple[int, int], dict[int, int]]]:
-    """For each batch of ``batches`` in turn, scored only when the caller
-    asks for it, the moves (delta, u) scored so far, each mapped to the
-    Shapley-Shubik numerators (index times m!), per weight, of the game of
-    ``weights`` with one player of weight u changed to u + delta.  A move
-    pairs delta = +-1 with a weight u of ``weights`` and leaves some weight
-    positive; one scored for an earlier batch is not scored again.
+    """For each batch of ``batches`` in turn, each of at most ``most`` moves
+    and taken only when the caller asks for it, the moves (delta, u) scored
+    so far, each mapped to the Shapley-Shubik numerators (index times m!),
+    per weight, of the game of ``weights`` with one player of weight u
+    changed to u + delta.  A move pairs delta = +-1 with a weight u of
+    ``weights`` and leaves some weight positive; one scored for an earlier
+    batch is not scored again.
 
-    Both directions' totals pass the DP budget before any table work.  The
-    table of ``weights``, wide enough for the bar of the +1 games, is taken
-    from ``_step_table`` and ``held`` (which carries it to the next step, so
-    a later step must not resume this one) for the first batch that holds a
-    move.  Every move is scored by one recipe, on the m + 2 live rows only:
-    a copy of that table, u removed and u + delta added, in O(m * width)
-    rather than O(m^2 * width) for a fresh table.  A batch's moves of one
-    direction fill one stack, zeroed once per call and at most
-    ``_STACK_BYTES``, a chunk at a time; each chunk (its games share the
-    bar) is gathered once by ``_gather``, and its numerators come from one
-    ``_numerators`` call.
+    The +1 total, and so the -1 total, passes the DP budget before any
+    table work.  The table of ``weights`` comes from ``_step_table`` and
+    ``held`` (which carries it to the next step, so a later step must not
+    resume this one) for the first batch that holds a move.  Every move is
+    scored by one recipe, on the m + 2 live rows only: a copy of that
+    table, u removed and u + delta added, in O(m * width) rather than
+    O(m^2 * width) for a fresh table.  A batch's moves of one direction
+    fill one stack, zeroed once per call and at most ``_STACK_BYTES``, a
+    chunk at a time; each chunk (its games share the dual bar) is gathered
+    once by ``_gather``, and its numerators come from one ``_numerators``
+    call, which reads the dual's counts as they are.
     """
     m, total = len(weights), sum(weights)
-    deltas = [d for d in (1, -1) if any(move[0] == d for batch in batches for move in batch)]
-    for delta in deltas:
-        _check_budget(m, total + delta)
+    _check_budget(m, total + 1)
     table = None
     scored: dict[tuple[int, int], dict[int, int]] = {}
     for batch in batches:
         moves = [move for move in dict.fromkeys(batch) if move not in scored]
         if moves and table is None:
-            table = _step_table(held, weights, _bar(quota, total + 1) + 1)
+            table = _step_table(held, weights, quota)
             moduli = _moduli(m, table.shape[2])
             numerators = _numerators(m, moduli)
-            size = min(max(1, _STACK_BYTES // table.nbytes), max(map(len, batches)))  # tables the stack holds
+            size = min(max(1, _STACK_BYTES // table.nbytes), most)  # tables the stack holds
             stack = np.zeros((size, *table.shape), dtype=np.int64)
-        for d in deltas:
+        for d in (1, -1):
             moved = [u for delta, u in moves if delta == d]
             while moved:
                 chunk, moved, present = moved[:size], moved[size:], []  # present: distinct weights per edited table
@@ -324,7 +346,7 @@ def _moved_pivots(
                     i = weights.index(u)
                     present.append({*weights[:i], *weights[i + 1 :], u + d})
                 n, order = len(chunk), list(set().union(*present))
-                counts = _gather(stack[:n], _bar(quota, total + d), order)
+                counts = _gather(stack[:n], _dual_bar(quota, total + d), order)
                 # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
                 for g, ws in enumerate(present):
                     counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
@@ -335,6 +357,7 @@ def _moved_pivots(
 
 
 def _check_budget(num_players: int, total_weight: int) -> None:
+    # m * total, though tables reach only the dual bar: the refusals stay those of a table as wide as the game
     cost = num_players * total_weight
     if cost > _DP_BUDGET:
         raise ResourceLimitError(f"num_players * total_weight = {cost} exceeds budget {_DP_BUDGET}")

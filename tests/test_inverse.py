@@ -399,7 +399,7 @@ class TestSolveLocalSearch:
                  10, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 0),
                 34,
                 259,
-                11,
+                3,
                 0.013066041211063171,
             ),
             (
@@ -408,7 +408,7 @@ class TestSolveLocalSearch:
                  9, 8, 6, 6, 6, 5, 5, 3, 2, 2, 1, 1, 1, 1),
                 22,
                 184,
-                11,
+                3,
                 0.01238390571319555,
             ),
         ],
@@ -418,9 +418,11 @@ class TestSolveLocalSearch:
         # one restart runs only from the proportional start: the gap-ordered
         # batched descent reaches the vector, steps and distance that the
         # steepest +-1 descent reached, scoring about a seventh as many
-        # vectors.  The steps carry their table: 9 of the 35 and 23 step
-        # tables are built (a step that needs a wider table rebuilds it), and
-        # the pivot passes of the start and of the solution build the other 2
+        # vectors.  The steps carry their table: only the first of the 35
+        # and 23 step tables is built, wide enough for the dual bar of its +1
+        # games 28 weight units ahead, which the descents (sums 500 to 508
+        # and 516) never pass; the pivot passes of the start and of the
+        # solution build the other 2
         fed = load_federation(DATA / "eu28.csv")
         spec = InverseProblemSpec(
             target=fed.shares(), quota_ratio=quota, weight_sum_bound=500, restarts=1, max_steps=400, seed=11
@@ -455,19 +457,14 @@ class TestSolveLocalSearch:
 @st.composite
 def neighbour_cases(draw, players=st.integers(1, 7), weights=st.integers(0, 6), distinct=False):
     """A problem and a weight vector (of distinct weights if ``distinct``).
-    Half of the vectors have one player at the edge of the step table (the
-    largest losing weight of the +1 neighbours, or one above it), so that
+    Half of the vectors have one player at the edge of the step table built
+    for them (its last column, ``step_width`` - 1, or one past it), so that
     its +1 neighbour leaves the table or its -1 neighbour enters it."""
     m = draw(players)
     quota = draw(st.sampled_from([F(1, 2), F(2, 3), F(37, 50), F(99, 100)]))
     vec = draw(st.lists(weights, min_size=m, max_size=m, unique=distinct))
     if draw(st.booleans()):
-        rest = sum(vec) - vec[0]
-
-        def width(h):
-            return games_module._bar(quota, h + rest + 1) + 1
-
-        outside = next(h for h in itertools.count() if h >= width(h))
+        outside = next(h for h in itertools.count() if h >= step_width(quota, (h, *vec[1:])))
         vec[0] = outside - draw(st.integers(0, 1))
     raw = draw(st.lists(st.integers(0, 100), min_size=m, max_size=m).filter(any))
     target = tuple(F(t, sum(raw)) for t in raw)
@@ -505,7 +502,7 @@ def check_neighbour_keys(spec, vec, tables=None, size=None):
     size = size or len(expected)
     chunk_bytes = power._STACK_BYTES
     if tables is not None:
-        chunk_bytes = tables * _cumulative_table(vec, games_module._bar(spec.quota_ratio, sum(vec) + 1) + 1).nbytes
+        chunk_bytes = tables * _cumulative_table(vec, step_width(spec.quota_ratio, vec)).nbytes
     build = mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table)
     with mock.patch.object(power, "_STACK_BYTES", chunk_bytes), mock.patch.object(inverse, "_BATCH", size), build as built:
         batches = list(keys.batches(vec, numerators))
@@ -520,24 +517,32 @@ def check_neighbour_keys(spec, vec, tables=None, size=None):
     assert len(keys.cache) == len(expected) + 1
 
 
-def walk_carried_table(spec, current, data, steps, restart, sizes=st.integers(1, 6), prefixes=st.integers(1, 3)):
+def step_width(quota, vec):
+    """Width of a step table built for ``vec``: it reaches the dual bar of
+    the +1 neighbours m weight units ahead, or the total ahead if less."""
+    return power._dual_bar(quota, sum(vec) + 1 + min(len(vec), sum(vec))) + 1
+
+
+def walk_carried_table(spec, current, data, steps, restart, rise=1, sizes=st.integers(1, 6), prefixes=st.integers(1, 3)):
     """Score a prefix of each step's batches, at least one that keys a
-    vector where there is one, over a walk of ``steps`` +-1 moves, +1 on
-    even steps, so that the step table must grow, and -1 on odd ones, with
-    a restart from a vector drawn from ``restart`` halfway.
+    vector where there is one, over a walk of ``steps`` +-1 moves, ``rise``
+    of +1 for each -1, with a restart from a vector drawn from ``restart``
+    halfway.
     After every step the held table is bitwise a fresh table of its vector
     at its width, every key is the fresh key, and a step that scores a
     move builds no table exactly when it is one +-1 move from the held
-    vector and the held table is as wide as the step needs.  Returns
-    (held width, needed width) for each step that edited the held table."""
+    vector and the held table reaches the dual bar of the step's +1
+    games; a table it builds is ``step_width`` wide.  Returns (held width,
+    ``step_width``, built) for each step that scored a move one +-1 move
+    from the held vector."""
     keys = _NeighbourKeys(spec)
-    edited = []
+    walked = []
     for step in range(steps):
         if step == steps // 2:
             current = data.draw(restart)
         vector, table = keys.held
-        width = games_module._bar(spec.quota_ratio, sum(current) + 1) + 1
-        carried = sum(abs(v - w) for v, w in zip(vector, current)) == 1 and table.shape[2] >= width
+        adjacent = sum(abs(v - w) for v, w in zip(vector, current)) == 1
+        carried = adjacent and table.shape[2] > power._dual_bar(spec.quota_ratio, sum(current) + 1)
         size, taken, cached = data.draw(sizes), data.draw(prefixes), len(keys.cache)
         numerators = reference_numerators(WeightedVotingGame(current, spec.quota_ratio))
         build = mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table)
@@ -550,18 +555,20 @@ def walk_carried_table(spec, current, data, steps, restart, sizes=st.integers(1,
         assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
         if len(keys.cache) > cached:  # the step scored a move, so it took a table
             assert (built.call_count, keys.held[0]) == (0 if carried else 1, current)
-            edited += [(table.shape[2], width)] if carried else []
+            walked += [(table.shape[2], step_width(spec.quota_ratio, current), not carried)] if adjacent else []
+            if not carried:
+                assert keys.held[1].shape[2] == step_width(spec.quota_ratio, current)
         else:
             assert (built.call_count, keys.held[0]) == (0, vector)
         vector, table = keys.held
         fresh = _cumulative_table(vector, table.shape[2])
         assert table.shape == fresh.shape and table.tobytes() == fresh.tobytes()
-        delta = 1 if step % 2 == 0 else -1
+        delta = -1 if step % (rise + 1) == rise else 1
         players = [i for i, w in enumerate(current) if w + delta >= 0 and sum(current) + delta > 0]
         if players:
             i = data.draw(st.sampled_from(players))
             current = current[:i] + (current[i] + delta,) + current[i + 1 :]
-    return edited
+    return walked
 
 
 class TestNeighbourKeys:
@@ -638,7 +645,7 @@ class TestNeighbourKeys:
     )
     def test_one_removal_per_move_and_gather_per_stack(self, vec, quota, tables):
         spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
-        width = games_module._bar(quota, sum(vec) + 1) + 1
+        width = step_width(quota, vec)
         keys = _NeighbourKeys(spec)
         numerators = keys.numerators(vec)
         calls = {
@@ -687,24 +694,46 @@ class TestNeighbourKeys:
         assert [v for batch in (first, *rest) for v, _, _ in batch] == gap_order(spec, vec)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(neighbour_cases().filter(lambda case: any(case[1])), st.data())
-    def test_carried_table_equals_a_fresh_table(self, case, data):
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.integers(1, 8), st.data())
+    def test_carried_table_equals_a_fresh_table(self, case, rise, data):
         spec, vec = case
         restart = st.lists(st.integers(0, 8), min_size=len(vec), max_size=len(vec)).filter(any).map(tuple)
-        walk_carried_table(spec, vec, data, 8, restart)
+        walk_carried_table(spec, vec, data, 8, restart, rise)
+
+    @pytest.mark.parametrize("quota", [HALF, F(37, 50)])
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_step_table_rebuilt_when_too_narrow(self, quota, data):
+        # a walk that keeps rising passes the dual bar its table was built
+        # for, m weight units ahead, and only then builds a new one
+        spec = InverseProblemSpec(target=(F(1, 2), F(1, 3), F(1, 6)), quota_ratio=quota)
+        walked = walk_carried_table(spec, (2, 1, 1), data, 24, st.just((2, 1, 1)), rise=24, sizes=st.just(6))
+        built = [built for *_, built in walked]
+        assert built.count(True) >= 2 and False in built
+
+    @pytest.mark.parametrize("quota", [HALF, F(37, 50)])
+    def test_step_table_looks_ahead_at_most_the_total(self, quota):
+        # 300 players of total 4 (all but three weigh 0): m weight units
+        # ahead would be about 150 columns; the total ahead keeps the table
+        # within the total + 1 columns that the budget check of the +1 games
+        # allows
+        vec = (1, 1, 2) + (0,) * 297
+        table = power._step_table([(), None], vec, quota)
+        assert table.shape[2] == step_width(quota, vec) == power._dual_bar(quota, 9) + 1 <= sum(vec) + 1
 
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(st.integers(68, 72), st.data())
     def test_carried_table_equals_a_fresh_table_residue_layers(self, m, data):
-        # weight totals 510 and 511 at q = 1/2 need step tables 256 and 257
-        # wide, on either side of a change of moduli: a table built 257 wide
-        # is carried into a step that needs 256, with the moduli of 257
+        # weight totals 511 - m and 512 - m at q = 1/2 build step tables 256
+        # and 257 wide, on either side of a change of moduli: a table built
+        # 256 wide is carried into a step that would build one 257 wide,
+        # and keeps the moduli of 256
         assert len(_moduli(m, 256)) == len(_moduli(m, 257)) == 1 and _moduli(m, 256) != _moduli(m, 257)
         raw = data.draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))
         spec = InverseProblemSpec(target=tuple(F(r, sum(raw)) for r in raw))
-        vectors = st.permutations((8,) * (510 - 7 * m) + (7,) * (8 * m - 510)).map(tuple)
-        edited = walk_carried_table(spec, data.draw(vectors), data, 6, vectors, sizes=st.just(6), prefixes=st.just(1))
-        assert (257, 256) in edited
+        vectors = st.permutations((7,) * (511 - 7 * m) + (6,) * (8 * m - 511)).map(tuple)
+        walked = walk_carried_table(spec, data.draw(vectors), data, 6, vectors, sizes=st.just(6), prefixes=st.just(1))
+        assert (256, 257, False) in walked
 
     def test_budget_guard(self):
         # two players: a start of weight sum 1,000,001 needs 2,000,002 cells,

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -20,7 +21,8 @@ from twotier import (
     shapley_permutation_oracle,
     shapley_shubik,
 )
-from twotier import power
+from twotier import largest_remainder, load_federation, power
+from twotier.games import _bar
 from twotier.power import _moduli, _pivot_counts_by_size
 from tests.reference import orderings, reference_numerators, reference_permutation_oracle, reference_pivots, wins
 from tests.test_games import PROPERTY, games, random_game
@@ -370,6 +372,75 @@ class TestPivotCounts:
         assert repr(twin) == repr(game) and twin.to_text() == game.to_text()
         assert (shapley_shubik(twin), banzhaf(twin)) == (shapley_shubik(game), banzhaf(game))
         assert len(built) == 2
+
+
+@st.composite
+def dual_bar_games(draw):
+    """Games of 1 to 7 players, zero weights included, whose dual bar
+    T - 1 - bar is 0, 1 or 2: the quota is (T - 1 - k) / T, where it is at
+    least 1/2."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7).filter(any))
+    total = sum(weights)
+    k = draw(st.integers(0, 2).filter(lambda k: 2 * (total - 1 - k) >= total))
+    return WeightedVotingGame(tuple(weights), F(total - 1 - k, total))
+
+
+class TestDualBar:
+    def test_pass_and_step_tables_reach_the_dual_bar(self, monkeypatch):
+        # eu28's proportional start at q = 37/50: a pass table is T - bar
+        # wide, 130 columns rather than the bar's 371, and a step table is
+        # T' - bar' wide for the +1 games m weight units ahead, T' = T + 1 + m
+        fed = load_federation(Path(__file__).resolve().parent.parent / "data" / "eu28.csv")
+        game = WeightedVotingGame(tuple(largest_remainder(fed.shares(), 500)), F(37, 50))
+        widths = []
+        table = power._cumulative_table
+        monkeypatch.setattr(power, "_cumulative_table", lambda weights, width: widths.append(width) or table(weights, width))
+        assert dict(game._pivots) == reference_pass(game)
+        assert (game.total_weight, game.bar, widths) == (500, 370, [130])
+        step = power._step_table([(), None], game.weights, game.quota_ratio)
+        ahead = 500 + 1 + 28
+        assert step.shape[2] == ahead - _bar(game.quota_ratio, ahead) == 138
+
+    @PROPERTY
+    @given(dual_bar_games())
+    @example(WeightedVotingGame((3, 2, 2), F(6, 7)))  # dual bar 0: only all three win
+    @example(WeightedVotingGame((0, 4, 0, 1), F(4, 5)))  # dual bar 0 with zero weights
+    @example(WeightedVotingGame((5,), HALF))  # one player, dual bar 2
+    @example(WeightedVotingGame((1,), F(99, 100)))  # one player, dual bar 0
+    @example(WeightedVotingGame((0, 0, 7), F(999, 1000)))  # a dictator and two nulls
+    @example(WeightedVotingGame((9, 7, 6, 5, 5, 3, 2, 2, 1, 0), F(41, 50)))  # ten players, dual bar 7
+    def test_extreme_quotas_equal_oracles(self, game):
+        assert shapley_shubik(game) == shapley_permutation_oracle(game)
+        assert banzhaf(game) == brute_force_banzhaf(game)
+        assert dict(game._pivots) == reference_pass(game)  # pivots by size, mirrored back
+
+
+class TestRemovePlayer:
+    @staticmethod
+    def row_sweep(live, w, moduli):
+        """The removal one size at a time, then each residue layer reduced."""
+        width = live.shape[2]
+        if w < width:
+            for s in range(2, live.shape[1]):
+                live[:, s, w:] -= live[:, s - 1, : width - w]
+            for p, layer in zip(moduli, live[1:]):
+                layer %= p
+
+    @pytest.mark.parametrize("m, width", [(1, 5), (28, 131), (28, 260), (51, 300), *((m, 256 + m % 2) for m in range(68, 73))])
+    def test_columns_equal_rows(self, m, width):
+        # every weight from 0 (rows only) through the width (no change):
+        # removals swept by columns, where that takes fewer calls, and by
+        # rows are the same tables to the bit, residue layers included
+        weights = [int(w) for w in np.random.default_rng(m * width).integers(0, 2 * width // m + 2, m)]
+        table = power._cumulative_table(weights, width)
+        moduli = _moduli(m, width)
+        assert (len(moduli) > 0) == (m >= 68)
+        for u in range(width + 2):
+            live = table[:, -(m + 2) :].copy()
+            expected = live.copy()
+            power._remove_player(live, u, moduli)
+            self.row_sweep(expected, u, moduli)
+            assert live.tobytes() == expected.tobytes(), u
 
 
 class TestNumerators:
