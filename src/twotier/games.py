@@ -263,6 +263,9 @@ def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tupl
     least C(...) - 1 over k!.  The smaller count is exact for both, so
     partitions are counted, p(n, k) = p(n, k - 1) + p(n - k, k), only when
     those bounds straddle the limit, and only until they pass it.
+    One part has a vector per weight sum, all dictator games: one class,
+    returned without an int64 count per sum (from two parts on, the limit
+    keeps the sums below 35,776).
     """
     limit = _SCAN_CELL_LIMIT >> parts  # vectors, none from 30 players on
     count = math.comb(cap + parts, parts) - 1 if limit else 1
@@ -280,6 +283,8 @@ def _class_firsts(parts: int, quota: Fraction, max_total: int, cap: int) -> tupl
             f"scan of more than {limit} weight vectors of 2^{parts} coalitions each exceeds the limit "
             f"of {_SCAN_CELL_LIMIT} coalitions"
         )
+    if parts == 1:
+        return [(1,)], min(max_total, cap)
     firsts: list[tuple[int, ...]] = []
     seen: set[bytes] = set()
     scanned = 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .games import WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
 from .games import _class_firsts, _integer_at_least
-from .power import _moved_pivots, shapley_shubik
+from .power import _check_budget, _moved_pivots, _step_table, shapley_shubik
 
 __all__ = [
     "SOLVER_METHODS",
@@ -278,18 +278,17 @@ class _NeighbourKeys:
     cached by vector: ``_numerator_key`` of the game's integer index
     numerators, with no Fraction built.  A vector keyed alone reads the
     numerators of its game's pivot pass (``WeightedVotingGame._pivots``).
-    A descent step keys its +-1 neighbours in gap order, a batch at a time:
-    one ``power._moved_pivots`` per step takes its table once, edited from
-    the last step's, which ``held`` carries, where it can be
-    (``power._step_table``), and scores a batch's uncached moves (delta, u)
-    when the step asks for that batch.  Both come from one gather."""
+    A descent step keys its +-1 neighbours in gap order, a batch at a time
+    (``batches``), from one step table: ``held`` is a vector and its table,
+    the last step's, which ``power._step_table`` edits into the next step's
+    where it can.  Both come from one gather."""
 
     def __init__(self, spec: InverseProblemSpec):
         self.quota = spec.quota_ratio
         self.numerator_key = _numerator_key(spec.target, spec.norm)
         self.unit, self.goal = self.numerator_key.unit, self.numerator_key.goal
         self.cache: dict[tuple[int, ...], int] = {}
-        self.held: list = [(), None]
+        self.held: tuple[tuple[int, ...], np.ndarray | None] = ((), None)
 
     def numerators(self, vec: tuple[int, ...]) -> dict[int, int]:
         """Numerators per weight of ``vec``'s game from its pivot pass,
@@ -314,18 +313,27 @@ class _NeighbourKeys:
         +1 of under-powered and -1 of over-powered players interleaved by
         gap size, and last those that widen one; ties by player, +1 first.
         Each comes with its key and its game's numerators per weight, or
-        None where the step scored no move to its weights."""
+        None where the step scored no move to its weights.
+
+        The DP budget of the +1 games is checked before any table work.
+        The first batch with moves (delta, u) not yet scored takes the step
+        table into ``held`` (``power._step_table``), and takes it again only
+        if a later step took it since; each such batch scores those moves
+        on it in one ``power._moved_pivots`` call."""
         gaps = [g - numerators[w] * self.unit for g, w in zip(self.goal, current)]
         total = sum(current)
+        _check_budget(len(current), total + 1)
         moves = [(i, d) for i, d in itertools.product(range(len(current)), (1, -1)) if current[i] + d >= 0 and total + d > 0]
         moves.sort(key=lambda m: (-gaps[m[0]] * m[1], m[0], -m[1]))
-        chunks = (  # built only for the batches the step reaches
-            [(current[:i] + (current[i] + d,) + current[i + 1 :], (d, current[i])) for i, d in moves[at : at + _BATCH]]
-            for at in range(0, len(moves), _BATCH)
-        )
-        chunks, reached = itertools.tee(chunks)
-        pending = ([move for v, move in chunk if v not in self.cache] for chunk in reached)
-        for chunk, scored in zip(chunks, _moved_pivots(current, self.quota, pending, self.held, _BATCH)):
+        table, scored = None, {}
+        for at in range(0, len(moves), _BATCH):
+            chunk = [(current[:i] + (current[i] + d,) + current[i + 1 :], (d, current[i])) for i, d in moves[at : at + _BATCH]]
+            pending = [move for v, move in chunk if v not in self.cache and move not in scored]
+            if pending:
+                if self.held[1] is not table or self.held[0] != current:  # not taken yet, or a later step took it
+                    table = _step_table(*self.held, current, self.quota)
+                    self.held = current, table
+                scored.update(_moved_pivots(current, self.quota, table, pending))
             for neighbour, move in chunk:  # one weight multiset per move: the same numerators per weight
                 if neighbour not in self.cache:
                     self.cache[neighbour] = self.numerator_key([scored[move][w] for w in neighbour])

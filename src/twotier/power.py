@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -277,83 +277,68 @@ def _numerators(num_players: int, moduli: tuple[int, ...]) -> Callable[..., list
     return join
 
 
-def _step_table(held: list, weights: tuple[int, ...], quota: Fraction) -> np.ndarray:
+def _step_table(vector: tuple[int, ...], table: np.ndarray | None, weights: tuple[int, ...], quota: Fraction) -> np.ndarray:
     """The cumulative table of ``weights`` for a step, which reads up to the
-    dual bar of its +1 games (``_dual_bar``).  ``held`` is [vector, table],
-    the last step's: if ``weights`` is one +-1 move from that vector and the
-    table reaches that bar, the table is edited in place, by one removal
-    and one add with the moduli of its own width; else a new one is built
-    for that bar m weight units ahead, or the total ahead if that is less:
-    a rising descent rebuilds it about once per m steps, and it is never
-    wider than total + 1, within the DP budget of the +1 games.  ``held``
-    then holds ``weights`` and it."""
+    dual bar of its +1 games (``_dual_bar``), from the last step's
+    ``vector`` and ``table``: if ``weights`` is one +-1 move from that
+    vector and the table reaches that bar, the table is edited in place, by
+    one removal and one add with the moduli of its own width; else a new one
+    is built for that bar m weight units ahead, or the total ahead if that
+    is less: a rising descent rebuilds it about once per m steps, and it is
+    never wider than total + 1, within the DP budget of the +1 games."""
     m, total = len(weights), sum(weights)
-    vector, table = held
     moved = [(v, w) for v, w in zip(vector, weights) if v != w]
     if len(moved) == 1 and abs(moved[0][0] - moved[0][1]) == 1 and table.shape[2] > _dual_bar(quota, total + 1):
         live, moduli = table[:, -(m + 2) :], _moduli(m, table.shape[2])
         _remove_player(live, moved[0][0], moduli)
         _add_player(live, moved[0][1], moduli)
-    else:
-        table = _cumulative_table(weights, _dual_bar(quota, total + 1 + min(m, total)) + 1)
-    held[:] = weights, table
-    return table
+        return table
+    return _cumulative_table(weights, _dual_bar(quota, total + 1 + min(m, total)) + 1)
 
 
 def _moved_pivots(
-    weights: tuple[int, ...], quota: Fraction, batches: Iterable[Collection[tuple[int, int]]], held: list, most: int
-) -> Iterator[dict[tuple[int, int], dict[int, int]]]:
-    """For each batch of ``batches`` in turn, each of at most ``most`` moves
-    and taken only when the caller asks for it, the moves (delta, u) scored
-    so far, each mapped to the Shapley-Shubik numerators (index times m!),
-    per weight, of the game of ``weights`` with one player of weight u
-    changed to u + delta.  A move pairs delta = +-1 with a weight u of
-    ``weights`` and leaves some weight positive; one scored for an earlier
-    batch is not scored again.
+    weights: tuple[int, ...], quota: Fraction, table: np.ndarray, moves: Collection[tuple[int, int]]
+) -> dict[tuple[int, int], dict[int, int]]:
+    """Each move (delta, u) of ``moves`` mapped to the Shapley-Shubik
+    numerators (index times m!), per weight, of the game of ``weights`` with
+    one player of weight u changed to u + delta (leaving some weight
+    positive), scored on ``table``, the table of ``weights`` from
+    ``_step_table``, which reaches the dual bar of the +1 games.
 
-    The +1 total, and so the -1 total, passes the DP budget before any
-    table work.  The table of ``weights`` comes from ``_step_table`` and
-    ``held`` (which carries it to the next step, so a later step must not
-    resume this one) for the first batch that holds a move.  Every move is
-    scored by one recipe, on the m + 2 live rows only: a copy of that
-    table, u removed and u + delta added, in O(m * width) rather than
-    O(m^2 * width) for a fresh table.  A batch's moves of one direction
-    fill one stack, zeroed once per call and at most ``_STACK_BYTES``, a
-    chunk at a time; each chunk (its games share the dual bar) is gathered
-    once by ``_gather``, and its numerators come from one ``_numerators``
-    call, which reads the dual's counts as they are.
+    Every distinct move is scored by one recipe, on the m + 2 live rows
+    only: a copy of the table, u removed and u + delta added, in
+    O(m * width) rather than O(m^2 * width) for a fresh table.  The moves
+    of each direction in turn fill one stack, zeroed once per call and at
+    most ``_STACK_BYTES``, a chunk at a time; each chunk (its games share
+    the dual bar) is gathered once by ``_gather``, and its numerators come
+    from one ``_numerators`` call, which reads the dual's counts as they
+    are.
     """
     m, total = len(weights), sum(weights)
-    _check_budget(m, total + 1)
-    table = None
+    moduli = _moduli(m, table.shape[2])
+    numerators = _numerators(m, moduli)
+    by_delta = {d: [u for delta, u in dict.fromkeys(moves) if delta == d] for d in (1, -1)}
+    size = min(max(1, _STACK_BYTES // table.nbytes), max(map(len, by_delta.values())))  # tables the stack holds
+    stack = np.zeros((size, *table.shape), dtype=np.int64)
     scored: dict[tuple[int, int], dict[int, int]] = {}
-    for batch in batches:
-        moves = [move for move in dict.fromkeys(batch) if move not in scored]
-        if moves and table is None:
-            table = _step_table(held, weights, quota)
-            moduli = _moduli(m, table.shape[2])
-            numerators = _numerators(m, moduli)
-            size = min(max(1, _STACK_BYTES // table.nbytes), most)  # tables the stack holds
-            stack = np.zeros((size, *table.shape), dtype=np.int64)
-        for d in (1, -1):
-            moved = [u for delta, u in moves if delta == d]
-            while moved:
-                chunk, moved, present = moved[:size], moved[size:], []  # present: distinct weights per edited table
-                for edited, u in zip(stack[:, :, -(m + 2) :], chunk):
-                    edited[...] = table[:, -(m + 2) :]
-                    _remove_player(edited, u, moduli)
-                    _add_player(edited, u + d, moduli)
-                    i = weights.index(u)
-                    present.append({*weights[:i], *weights[i + 1 :], u + d})
-                n, order = len(chunk), list(set().union(*present))
-                counts = _gather(stack[:n], _dual_bar(quota, total + d), order)
-                # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
-                for g, ws in enumerate(present):
-                    counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
-                values = numerators(counts)
-                for g, (u, ws) in enumerate(zip(chunk, present)):
-                    scored[d, u] = {w: v for w, v in zip(order, values[g::n]) if w in ws}
-        yield scored
+    for d, moved in by_delta.items():
+        while moved:
+            chunk, moved, present = moved[:size], moved[size:], []  # present: distinct weights per edited table
+            for edited, u in zip(stack[:, :, -(m + 2) :], chunk):
+                edited[...] = table[:, -(m + 2) :]
+                _remove_player(edited, u, moduli)
+                _add_player(edited, u + d, moduli)
+                i = weights.index(u)
+                present.append({*weights[:i], *weights[i + 1 :], u + d})
+            n, order = len(chunk), list(set().union(*present))
+            counts = _gather(stack[:n], _dual_bar(quota, total + d), order)
+            # row j * n + g: weight order[j] in game g, 0 where the game lacks it, not its meaningless counts
+            for g, ws in enumerate(present):
+                counts[[j * n + g for j, w in enumerate(order) if w not in ws]] = 0
+            values = numerators(counts)
+            for g, (u, ws) in enumerate(zip(chunk, present)):
+                scored[d, u] = {w: v for w, v in zip(order, values[g::n]) if w in ws}
+    return scored
 
 
 def _check_budget(num_players: int, total_weight: int) -> None:

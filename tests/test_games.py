@@ -305,6 +305,25 @@ class TestEnumeration:
                 tracemalloc.stop()
             assert peak < 1 << 16  # refused before any scan is allocated
 
+    def test_one_player_scan_counts_no_weight_sums(self):
+        # a vector per weight sum, each a dictator game: one class, whatever
+        # the bound, with no int64 count per sum (about 3 GB at 10^8, which
+        # the vector limit admits); one past that limit is refused before
+        # anything is allocated
+        for bound, scan in [(10**8, ([(1,)], 10**8)), (320_000_001, None)]:
+            tracemalloc.start()
+            try:
+                if scan is None:
+                    with pytest.raises(ResourceLimitError):
+                        enumerate_game_classes(1, HALF, bound)
+                else:
+                    assert games_module._class_firsts(1, HALF, bound, bound) == scan
+                    assert enumerate_game_classes(1, HALF, bound).representatives() == ((1,),)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+
     def test_guard_counts_scanned_vectors(self):
         # 7^10 = 282,475,249 grid points, but only C(16, 10) - 1 = 8,007
         # non-increasing vectors of 2^10 coalitions each

@@ -684,14 +684,57 @@ class TestNeighbourKeys:
         spec = InverseProblemSpec(target=(F(1, len(vec)),) * len(vec), quota_ratio=quota)
         keys = _NeighbourKeys(spec)
         numerators = keys.numerators(vec)
-        calls = {name: mock.patch.object(power, name, wraps=getattr(power, name)) for name in ("_cumulative_table", "_step_table")}
-        with calls["_cumulative_table"] as built, calls["_step_table"] as taken:
+        with (
+            mock.patch.object(power, "_cumulative_table", wraps=power._cumulative_table) as built,
+            mock.patch.object(inverse, "_step_table", wraps=inverse._step_table) as taken,  # the binding the step calls
+        ):
             batches = keys.batches(vec, numerators)
             first = next(batches)
             assert (built.call_count, taken.call_count, len(keys.cache)) == (1, 1, 1 + len(first))
             rest = list(batches)
         assert (built.call_count, taken.call_count, len(rest)) == (1, 1, 3)
         assert [v for batch in (first, *rest) for v, _, _ in batch] == gap_order(spec, vec)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.integers(1, 4), st.data())
+    def test_one_call_equals_split_calls(self, case, tables, data):
+        # a step's moves, in any order, scored in one call or split across
+        # calls of any sizes (empty ones included), ``tables`` edited tables
+        # a stack: the same numerators, the fresh ones, and the table as it was
+        spec, vec = case
+        quota, total = spec.quota_ratio, sum(vec)
+        moves = data.draw(st.permutations([(d, u) for u in vec for d in (1, -1) if u + d >= 0 and total + d > 0]))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(moves)), max_size=4)))
+        table = power._step_table((), None, vec, quota)
+        before = table.tobytes()
+        with mock.patch.object(power, "_STACK_BYTES", tables * table.nbytes):
+            whole = power._moved_pivots(vec, quota, table, moves)
+            split = {}
+            for low, high in zip([0, *cuts], [*cuts, len(moves)]):
+                split.update(power._moved_pivots(vec, quota, table, moves[low:high]))
+        assert split == whole and set(whole) == set(moves)
+        assert table.tobytes() == before
+        for d, u in moves:
+            i = vec.index(u)
+            moved = WeightedVotingGame(vec[:i] + (u + d,) + vec[i + 1 :], quota)
+            assert whole[d, u] == reference_numerators(moved)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(neighbour_cases().filter(lambda case: any(case[1])), st.integers(1, 3))
+    def test_step_resumed_after_a_later_step(self, case, size):
+        # a later step edits the held table into its own; the earlier step,
+        # read on after it, takes the table back and keys its rest afresh
+        spec, vec = case
+        keys = _NeighbourKeys(spec)
+        with mock.patch.object(inverse, "_BATCH", size):
+            first = keys.batches(vec, keys.numerators(vec))
+            head = next(first)
+            neighbour, _, moved = head[0]
+            later = [entry for batch in keys.batches(neighbour, moved) for entry in batch]
+            rest = [entry for batch in first for entry in batch]
+        scored = [*head, *later, *rest]
+        assert [key for _, key, _ in scored] == [fresh_key(spec, v) for v, _, _ in scored]
+        assert [v for v, _, _ in head + rest] == gap_order(spec, vec)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(neighbour_cases().filter(lambda case: any(case[1])), st.integers(1, 8), st.data())
@@ -718,7 +761,7 @@ class TestNeighbourKeys:
         # within the total + 1 columns that the budget check of the +1 games
         # allows
         vec = (1, 1, 2) + (0,) * 297
-        table = power._step_table([(), None], vec, quota)
+        table = power._step_table((), None, vec, quota)
         assert table.shape[2] == step_width(quota, vec) == power._dual_bar(quota, 9) + 1 <= sum(vec) + 1
 
     @settings(max_examples=3, deadline=None, derandomize=True)

@@ -397,7 +397,7 @@ class TestDualBar:
         monkeypatch.setattr(power, "_cumulative_table", lambda weights, width: widths.append(width) or table(weights, width))
         assert dict(game._pivots) == reference_pass(game)
         assert (game.total_weight, game.bar, widths) == (500, 370, [130])
-        step = power._step_table([(), None], game.weights, game.quota_ratio)
+        step = power._step_table((), None, game.weights, game.quota_ratio)
         ahead = 500 + 1 + 28
         assert step.shape[2] == ahead - _bar(game.quota_ratio, ahead) == 138
 
