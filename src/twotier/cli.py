@@ -13,18 +13,9 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .experiments import (
-    ExperimentConfig,
-    InverseSolverOptions,
-    build_weights,
-    load_federation,
-    parse_key_values,
-    run_experiment,
-)
 from .games import ResourceLimitError, WeightedVotingGame, enumerate_game_classes
 from .inverse import SOLVER_METHODS, InverseProblemSpec, solve
 from .power import banzhaf, shapley_permutation_oracle, shapley_shubik
-from .simulation import PreferenceModel, estimate_pivot_probabilities, fairness_deviation
 
 
 def _fmt(value: Fraction) -> str:
@@ -47,8 +38,9 @@ def _cmd_power(args) -> int:
 
 def _cmd_inverse(args) -> int:
     if args.federation:
-        fed = load_federation(args.federation)
-        target = fed.shares()
+        from .experiments import load_federation
+
+        target = load_federation(args.federation).shares()
     elif args.target:
         target = tuple(args.target.split(","))
     else:
@@ -83,6 +75,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiments import load_federation, parse_key_values
+    from .simulation import PreferenceModel, estimate_pivot_probabilities, fairness_deviation
+
     convert = {"t": float, "replications": int, "seed": int}
     raw = parse_key_values(args.config, required=("federation", "game", *convert), convert=convert)
     fed = load_federation(raw["federation"])
@@ -99,6 +94,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import ExperimentConfig, run_experiment
+
     config = ExperimentConfig.from_file(args.config)
     rows = run_experiment(config)
     for row in rows:
@@ -125,8 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser(
         "inverse", help="find a game approximating a target power vector", argument_default=argparse.SUPPRESS
     )
-    p_inv.add_argument("target", nargs="?", default=None, help="comma-separated shares, e.g. '0.42,0.25,0.24,0.09'")
-    p_inv.add_argument("--federation", default=None, help="take the target from a federation CSV instead")
+    given = p_inv.add_mutually_exclusive_group()
+    given.add_argument("target", nargs="?", default=None, help="comma-separated shares, e.g. '0.42,0.25,0.24,0.09'")
+    given.add_argument("--federation", default=None, help="take the target from a federation CSV instead")
     p_inv.add_argument("--quota", dest="quota_ratio", metavar="QUOTA",
                        help=f"relative quota as an exact fraction (default {InverseProblemSpec.quota_ratio})")
     p_inv.add_argument("--norm", choices=("l1", "l2", "linf"))

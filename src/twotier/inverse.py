@@ -23,7 +23,7 @@ import numpy as np
 
 from .games import WeightedVotingGame, canonicalize, enumerate_game_classes, exact_quota
 from .games import _class_firsts, _integer_at_least
-from .power import _check_budget, _moved_pivots, _step_table, shapley_shubik
+from .power import _moved_pivots, _step_table, shapley_shubik
 
 __all__ = [
     "SOLVER_METHODS",
@@ -315,14 +315,13 @@ class _NeighbourKeys:
         Each comes with its key and its game's numerators per weight, or
         None where the step scored no move to its weights.
 
-        The DP budget of the +1 games is checked before any table work.
         The first batch with moves (delta, u) not yet scored takes the step
-        table into ``held`` (``power._step_table``), and takes it again only
-        if a later step took it since; each such batch scores those moves
-        on it in one ``power._moved_pivots`` call."""
+        table into ``held`` (``power._step_table``, which refuses a new
+        table past the DP budget before building it), and takes it again
+        only if a later step took it since; each such batch scores those
+        moves on it in one ``power._moved_pivots`` call."""
         gaps = [g - numerators[w] * self.unit for g, w in zip(self.goal, current)]
         total = sum(current)
-        _check_budget(len(current), total + 1)
         moves = [(i, d) for i, d in itertools.product(range(len(current)), (1, -1)) if current[i] + d >= 0 and total + d > 0]
         moves.sort(key=lambda m: (-gaps[m[0]] * m[1], m[0], -m[1]))
         table, scored = None, {}

@@ -26,7 +26,7 @@ __all__ = [
     "penrose_decisiveness",
 ]
 
-# cap on num_players * total_weight; the DP table holds about that many cells
+# cap on the cells of one layer of a DP table (``_check_budget``)
 _DP_BUDGET = 2_000_000
 # bytes of edited tables, zero rows included, that ``_moved_pivots`` holds at once, in its one stack
 _STACK_BYTES = 1 << 19
@@ -209,7 +209,7 @@ def _pivot_counts_by_size(game: WeightedVotingGame) -> dict[int, tuple[tuple[int
     numerators need no mirror, as s! * (m-1-s)! is symmetric.  Every index
     reads them once per game, through ``WeightedVotingGame._pivots``."""
     m, bar = game.num_players, _dual_bar(game.quota_ratio, game.total_weight)
-    _check_budget(m, game.total_weight)
+    _check_budget(m, bar + 1)
     order = list(dict.fromkeys(game.weights))
     counts = _gather(_cumulative_table(game.weights, bar + 1)[None], bar, order)
     moduli = _moduli(m, bar + 1)
@@ -285,7 +285,7 @@ def _step_table(vector: tuple[int, ...], table: np.ndarray | None, weights: tupl
     one removal and one add with the moduli of its own width; else a new one
     is built for that bar m weight units ahead, or the total ahead if that
     is less: a rising descent rebuilds it about once per m steps, and it is
-    never wider than total + 1, within the DP budget of the +1 games."""
+    never wider than total + 1.  A new table past the budget is refused."""
     m, total = len(weights), sum(weights)
     moved = [(v, w) for v, w in zip(vector, weights) if v != w]
     if len(moved) == 1 and abs(moved[0][0] - moved[0][1]) == 1 and table.shape[2] > _dual_bar(quota, total + 1):
@@ -293,7 +293,9 @@ def _step_table(vector: tuple[int, ...], table: np.ndarray | None, weights: tupl
         _remove_player(live, moved[0][0], moduli)
         _add_player(live, moved[0][1], moduli)
         return table
-    return _cumulative_table(weights, _dual_bar(quota, total + 1 + min(m, total)) + 1)
+    width = _dual_bar(quota, total + 1 + min(m, total)) + 1
+    _check_budget(m, width)
+    return _cumulative_table(weights, width)
 
 
 def _moved_pivots(
@@ -341,11 +343,11 @@ def _moved_pivots(
     return scored
 
 
-def _check_budget(num_players: int, total_weight: int) -> None:
-    # m * total, though tables reach only the dual bar: the refusals stay those of a table as wide as the game
-    cost = num_players * total_weight
+def _check_budget(num_players: int, width: int) -> None:
+    """Refuse a table of m players, 2m + 1 rows by ``width`` columns a layer, past ``_DP_BUDGET`` cells."""
+    cost = (2 * num_players + 1) * width
     if cost > _DP_BUDGET:
-        raise ResourceLimitError(f"num_players * total_weight = {cost} exceeds budget {_DP_BUDGET}")
+        raise ResourceLimitError(f"{num_players} players, {width} columns: {cost} table cells exceed budget {_DP_BUDGET}")
 
 
 def shapley_shubik(game: WeightedVotingGame) -> tuple[Fraction, ...]:

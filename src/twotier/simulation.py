@@ -29,7 +29,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .games import WeightedVotingGame, _integer_at_least
 
@@ -95,6 +94,8 @@ class Distribution:
         if self.name == "uniform":
             low, high = self.params
             return low + (high - low) * u
+        from scipy.special import ndtri  # imported here, so that only normal noise needs scipy
+
         mean, std = self.params
         return mean + std * ndtri(u)
 

@@ -419,6 +419,15 @@ class TestCli:
         assert main(["inverse", "--federation", str(fed_path), "--bound", "30"]) == 0
         assert "distance (l1): 0.02" in capsys.readouterr().out
 
+    def test_inverse_refuses_target_with_federation(self, tmp_path, capsys):
+        fed_path = make_federation_csv(tmp_path / "fed.csv", ["A,42", "B,25", "C,24", "D,9"])
+        with pytest.raises(SystemExit) as refused:
+            main(["inverse", "0.5,0.5", "--federation", str(fed_path), "--bound", "30"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --federation: not allowed with argument target" in captured.err
+
     def test_simulate(self, tmp_path, capsys):
         fed_path = make_federation_csv(tmp_path / "fed.csv", ["A,400", "B,300", "C,200"])
         config = tmp_path / "sim.cfg"

@@ -779,18 +779,19 @@ class TestNeighbourKeys:
         assert (256, 257, False) in walked
 
     def test_budget_guard(self):
-        # two players: a start of weight sum 1,000,001 needs 2,000,002 cells,
-        # past the DP budget of 2 * 10^6
+        # two players at q = 1/2: a start of weight sum 800,001 needs a table
+        # of 5 rows by 400,001 columns, past the DP budget of 2 * 10^6 cells
         with pytest.raises(ResourceLimitError):
-            solve_local_search(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=1_000_001))
-        # at 1,000,000 the start is within the budget and scored; its +1
-        # neighbours are refused before any table is built
-        keys = _NeighbourKeys(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=1_000_000))
-        numerators = keys.numerators((500_000, 500_000))
-        assert keys.of((500_000, 500_000)) == 0
+            solve_local_search(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=800_001))
+        # at 800,000 the start's 5 * 400,000 cells are within the budget and
+        # scored; the step table, 400,002 columns for the dual bar of weight
+        # sum 800,003, is refused before it is built
+        keys = _NeighbourKeys(InverseProblemSpec(target=(HALF, HALF), weight_sum_bound=800_000))
+        numerators = keys.numerators((400_000, 400_000))
+        assert keys.of((400_000, 400_000)) == 0
         with mock.patch.object(power, "_cumulative_table", side_effect=AssertionError("built")):
             with pytest.raises(ResourceLimitError):
-                list(keys.batches((500_000, 500_000), numerators))
+                list(keys.batches((400_000, 400_000), numerators))
 
 
 class TestSolve:

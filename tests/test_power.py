@@ -138,8 +138,11 @@ class TestShapleyShubik:
             assert shapley_shubik(game) == shapley_shubik(scaled)
 
     def test_budget_guard(self):
-        # 3 players of total weight 3 * 10^6: past the 2 * 10^6 DP budget
-        game = WeightedVotingGame((1_000_000,) * 3, HALF)
+        # the budget of 2 * 10^6 bounds the cells of the table built, 2m + 1
+        # rows by the dual bar + 1: two players at total 800,000 and q = 1/2
+        # need 5 * 400,000 cells, and at total 800,002, 5 * 400,001
+        assert shapley_shubik(WeightedVotingGame((400_000, 400_000), HALF)) == (HALF, HALF)
+        game = WeightedVotingGame((400_001, 400_001), HALF)
         with pytest.raises(ResourceLimitError):
             shapley_shubik(game)
         with pytest.raises(ResourceLimitError):

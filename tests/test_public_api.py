@@ -3,7 +3,12 @@ is referenced in ``src/``, ``demos/`` or the acceptance suite, so no public
 function, class or method exists only for the unit tests to call."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import twotier
 from twotier import experiments, games, inverse, power, simulation
@@ -75,6 +80,42 @@ def test_package_exports_each_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(twotier, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def loaded(code):
+    """The modules loaded when a fresh interpreter has run ``code``, whose
+    asserts must hold, as the last line of its output lists them at exit."""
+    probe = f"import atexit, sys\natexit.register(lambda: print(*sys.modules))\n{code}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        # as ``python -m twotier.cli power "1/2; 3,2,1"`` runs it
+        "import runpy; sys.argv = ['twotier', 'power', '1/2; 3,2,1']; runpy.run_module('twotier.cli', run_name='__main__')",
+        "import twotier; twotier.shapley_shubik(twotier.WeightedVotingGame.from_text('1/2; 3,2,1'))",
+    ],
+    ids=["cli-power", "package-index"],
+)
+def test_exact_core_loads_no_simulation_and_no_scipy(code):
+    modules = loaded(code)
+    assert {"twotier.games", "twotier.power"} <= modules
+    assert {"twotier.simulation", "twotier.experiments", "scipy"}.isdisjoint(modules)
+
+
+def test_star_import_binds_exactly_all():
+    loaded("import twotier; ns = {}; exec('from twotier import *', ns); assert set(ns) - {'__builtins__'} == set(twotier.__all__)")
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        twotier.no_such_name
+    # a dunder probe imports no module
+    assert "twotier.games" not in loaded("import twotier; assert not hasattr(twotier, '__wrapped__')")
 
 
 def test_imports_and_all_lists_are_no_references():
