@@ -277,15 +277,19 @@ def _block_ideals(fed, model, seed, block_index, count, shared_order=False):
     unscaled shared shocks when asked, else None.  Draw order is fixed
     (noise medians per constituency, then the shock matrix row by row, as
     numpy fills one whole draw) so a block depends only on (seed, block
-    index).  Each constituency's medians fill one contiguous row, and a
-    chunk's positions, built in its shock buffer, equal
-    ``cohesion * shared + noise`` bit for bit."""
+    index).  The medians are held in one array per chunk, a row per
+    constituency: a block in one array would pass the 4 MiB at which numpy
+    advises huge pages.  A chunk's positions, built in its shock buffer,
+    equal ``cohesion * shared + noise`` bit for bit."""
     rng = _block_rng(seed, block_index)
-    noise = np.empty((fed.num_constituencies, count))
+    starts = range(0, count, PIVOT_CHUNK)
+    noise = [np.empty((fed.num_constituencies, min(PIVOT_CHUNK, count - start))) for start in starts]
     for i, population in enumerate(fed.populations):
-        noise[i] = sample_median_shock(population, model.idiosyncratic, rng, count)
-    for start in range(0, count, PIVOT_CHUNK):
-        rows = noise[:, start : start + PIVOT_CHUNK].T
+        medians = sample_median_shock(population, model.idiosyncratic, rng, count)
+        for start, piece in zip(starts, noise):
+            piece[i] = medians[start : start + PIVOT_CHUNK]
+    for piece in noise:
+        rows = piece.T
         if model.cohesion <= 0:
             yield rows, None
             continue

@@ -1,6 +1,7 @@
 """Median-voter Monte Carlo: samplers, pivot estimation, fairness measures."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest.mock import patch
@@ -343,6 +344,21 @@ class TestBlockIdeals:
         if cohesion:
             orders = np.concatenate([order for _, order in chunks])
             np.testing.assert_array_equal(orders, np.argsort(shared, axis=1, kind="stable"))
+
+    def test_medians_held_below_huge_page_advice(self):
+        # numpy advises huge pages for an array of 4 MiB or more; a block of
+        # 40 constituencies' medians is 10 MiB, and is held in chunk pieces
+        fed = FederationSpec.from_sizes(tuple(range(1001, 1081, 2)))
+        numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        tracemalloc.start()
+        try:
+            chunks = _block_ideals(fed, PreferenceModel(cohesion=1.0), 5, 0, BLOCK_SIZE)
+            next(chunks)
+            held = tracemalloc.take_snapshot().filter_traces([numpy_data]).traces
+        finally:
+            tracemalloc.stop()
+        assert sum(t.size for t in held) >= 40 * BLOCK_SIZE * 8
+        assert max(t.size for t in held) < 1 << 22
 
 
 class TestEstimate:
